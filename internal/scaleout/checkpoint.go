@@ -46,7 +46,6 @@ import (
 	"fmt"
 	"hash/fnv"
 
-	"nmppak/internal/dna"
 	"nmppak/internal/nmp"
 	"nmppak/internal/readsim"
 	"nmppak/internal/sim"
@@ -202,91 +201,59 @@ func Checkpoint(reads []readsim.Read, tr *trace.Trace, cfg Config, beforeIter in
 	if err != nil {
 		return nil, err
 	}
-	ck := checkpointHeader(cfg, net, tr, res, beforeIter)
-
-	// Advance the compaction runtime to the pause point. The engines are
-	// stepped on their local back-to-back clocks (identical in both
-	// disciplines — the schedule only composes durations on the global
-	// timeline). A BSP capture also accumulates the partial superstep
-	// sums its restore resumes from; an overlapped capture skips them
-	// (its restore replays the macro-schedule from the recorded durations
-	// and never reads them).
-	var ckCompute, ckExchange sim.Cycle
-	if rp, ok := cfg.Partitioner.(*RebalancePartitioner); ok {
-		rr, err := newRebalanceRun(tr, net, cfg, rp)
-		if err != nil {
-			return nil, err
-		}
-		rr.setProbes(pr)
-		rr.advance(0, beforeIter)
-		ck.Compute, ck.Exchange = rr.compute, rr.exchange
-		ck.CompactExchangedBytes = rr.out.ExchangedBytes
-		ck.Rebalance = &RebalanceState{
-			Table:         append([]uint16(nil), rr.table...),
-			Cum:           append([]sim.Cycle(nil), rr.cum...),
-			LastDur:       append([]sim.Cycle(nil), rr.lastDur...),
-			Weight:        append([]int64(nil), rr.weight...),
-			LocalTNs:      rr.out.LocalTNs,
-			RemoteTNs:     rr.out.RemoteTNs,
-			HaloBytes:     rr.out.HaloBytes,
-			Rebalances:    rr.out.Rebalances,
-			MigratedBytes: rr.out.MigratedBytes,
-		}
-		if err := snapshotInto(ck, rr.out.Durations, rr.engines); err != nil {
-			return nil, err
-		}
-		ckCompute, ckExchange = rr.compute, rr.exchange
-	} else {
-		st := ShardTrace(tr, cfg.Nodes, cfg.Partitioner)
-		rt, err := newRuntime(st, net, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.Overlap {
-			rt.stepAdvance(0, beforeIter)
-		} else {
-			rt.setProbes(pr)
-			rt.bspAdvance(0, beforeIter)
-		}
-		ck.Compute, ck.Exchange = rt.compute, rt.exchange
-		ck.CompactExchangedBytes = rt.exchangedBytes
-		if err := snapshotInto(ck, rt.durations, rt.engines); err != nil {
-			return nil, err
-		}
-		ckCompute, ckExchange = rt.compute, rt.exchange
+	d, err := newDriver(tr, net, cfg, nil)
+	if err != nil {
+		return nil, err
+	}
+	if !cfg.Overlap {
+		d.setProbes(pr)
+	}
+	d.advance(beforeIter)
+	blob, err := captureBlob(d, cfg, net, tr, res)
+	if err != nil {
+		return nil, err
 	}
 	if pr != nil {
 		at := pr.base
 		if !cfg.Overlap {
-			at = pr.bspStart(ckCompute, ckExchange, beforeIter, iters,
-				net.BarrierCycles(), cfg.NMP.SyncBarrierCycles)
+			at += d.base().now()
 		}
 		pr.phases.Add(telemetry.SpanCheckpoint, at, at, int64(beforeIter), 0)
 		pr.seal()
+	}
+	return blob, nil
+}
+
+// captureBlob exports driver d's state at its current boundary as a blob.
+// Checkpoint and Session.Checkpoint both capture through it, so an
+// incrementally advanced session snapshots byte-identically to a
+// one-shot capture at the same boundary.
+func captureBlob(d driver, cfg Config, net topo.Network, tr *trace.Trace, res *Result) ([]byte, error) {
+	ck := checkpointHeader(cfg, net.Name(), configDigest(cfg, net.Name()), traceDigest(tr), res, d.base().next)
+	if err := d.snapshot(ck); err != nil {
+		return nil, err
 	}
 	return ck.Marshal()
 }
 
 // checkpointHeader builds the identity and prelude sections of a
 // CheckpointState from a prelude Result: everything except the live
-// compaction-runtime state (durations, engines, partial sums). Shared by
-// Checkpoint and Session.Checkpoint so an incrementally advanced session
-// snapshots byte-identically to a one-shot capture at the same boundary.
-func checkpointHeader(cfg Config, net topo.Network, tr *trace.Trace, res *Result, beforeIter int) *CheckpointState {
+// compaction-runtime state (durations, engines, partial sums).
+func checkpointHeader(cfg Config, topology string, cfgDigest, trDigest uint64, res *Result, resumeIter int) *CheckpointState {
 	return &CheckpointState{
 		Version:               CheckpointVersion,
-		ConfigDigest:          configDigest(cfg, net.Name()),
-		TraceDigest:           traceDigest(tr),
+		ConfigDigest:          cfgDigest,
+		TraceDigest:           trDigest,
 		Nodes:                 cfg.Nodes,
 		K:                     cfg.K,
 		Overlap:               cfg.Overlap,
 		Partitioner:           cfg.Partitioner.Name(),
-		Topology:              net.Name(),
+		Topology:              topology,
 		Count:                 res.Count,
 		Construct:             res.Construct,
 		PerNode:               res.PerNode,
 		PreludeExchangedBytes: res.ExchangedBytes,
-		ResumeIter:            beforeIter,
+		ResumeIter:            resumeIter,
 	}
 }
 
@@ -313,28 +280,14 @@ func snapshotInto(ck *CheckpointState, durations [][]sim.Cycle, engines []*nmp.E
 // themselves are not needed, because the blob carries the software-phase
 // outcome.
 func Restore(tr *trace.Trace, cfg Config, blob []byte) (*Result, error) {
-	ck, err := UnmarshalCheckpoint(blob)
+	res, d, net, err := resume(tr, cfg, blob, func(cfg Config) error {
+		if cfg.elastic() {
+			return fmt.Errorf("scaleout: Restore resumes a deterministic run; %w", ErrElasticConfig)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	net, err := validateRun(tr, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.elastic() {
-		return nil, fmt.Errorf("scaleout: Restore resumes a deterministic run; %w", ErrElasticConfig)
-	}
-	if err := ck.matches(tr, cfg, net); err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Nodes:          cfg.Nodes,
-		Partitioner:    cfg.Partitioner.Name(),
-		Topology:       net.Name(),
-		Count:          ck.Count,
-		Construct:      ck.Construct,
-		PerNode:        append([]NodeStats(nil), ck.PerNode...),
-		ExchangedBytes: ck.PreludeExchangedBytes,
 	}
 	// An instrumented restore records the software phases from the blob's
 	// timing and the live compaction range: the BSP disciplines re-enter
@@ -346,113 +299,46 @@ func Restore(tr *trace.Trace, cfg Config, blob []byte) (*Result, error) {
 		pr = newProbes(cfg.Telemetry, net, cfg)
 		pr.prelude(res)
 	}
-	var co *compactOutcome
-	if rp, ok := cfg.Partitioner.(*RebalancePartitioner); ok {
-		rr, err := resumeRebalanceRun(tr, net, cfg, rp, ck)
-		if err != nil {
-			return nil, err
-		}
-		rr.setProbes(pr)
-		rr.advance(ck.ResumeIter, rr.iters)
-		ro := rr.finish()
-		co = &ro.compactOutcome
-		res.HaloBytes = ro.HaloBytes
-		res.RemoteTNFrac = remoteTNFrac(ro.LocalTNs, ro.RemoteTNs)
-		res.Rebalances = ro.Rebalances
-		res.MigratedBytes = ro.MigratedBytes
-	} else {
-		st := ShardTrace(tr, cfg.Nodes, cfg.Partitioner)
-		res.HaloBytes = st.HaloBytes
-		res.RemoteTNFrac = st.RemoteTNFrac()
-		rt, err := resumeRuntime(st, net, cfg, ck)
-		if err != nil {
-			return nil, err
-		}
-		rt.setProbes(pr)
-		co = rt.run()
-	}
-	finalize(res, co)
+	d.setProbes(pr)
+	finalize(res, d.finish(res))
 	if pr != nil {
 		pr.seal()
 	}
 	return res, nil
 }
 
-// resumeRuntime rebuilds the static-partitioner runtime at the blob's
-// pause point: restored engines, recorded durations, BSP partial sums.
-func resumeRuntime(st *ShardedTrace, net topo.Network, cfg Config, ck *CheckpointState) (*runtime, error) {
-	iters := len(st.Traces[0].Iterations)
-	rt := &runtime{
-		cfg:            cfg,
-		st:             st,
-		net:            net,
-		n:              cfg.Nodes,
-		iters:          iters,
-		start:          ck.ResumeIter,
-		engines:        make([]*nmp.Engine, cfg.Nodes),
-		durations:      make([][]sim.Cycle, cfg.Nodes),
-		compute:        ck.Compute,
-		exchange:       ck.Exchange,
-		exchangedBytes: ck.CompactExchangedBytes,
+// resume decodes a checkpoint blob, validates it against (tr, cfg) —
+// after cfg passes check — and rebuilds the paused driver plus the
+// prelude Result the blob carries. Restore and ResumeSession share it.
+func resume(tr *trace.Trace, cfg Config, blob []byte, check func(Config) error) (*Result, driver, topo.Network, error) {
+	ck, err := UnmarshalCheckpoint(blob)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	for i := range rt.engines {
-		e, err := nmp.ResumeEngine(st.Traces[i], cfg.NMP, ck.Engines[i])
-		if err != nil {
-			return nil, err
-		}
-		rt.engines[i] = e
-		rt.durations[i] = make([]sim.Cycle, iters)
-		copy(rt.durations[i], ck.Durations[i])
+	net, err := validateRun(tr, cfg)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	return rt, nil
-}
-
-// resumeRebalanceRun rebuilds the dynamic-ownership run at the blob's
-// pause point. The per-node sub-traces of the executed iterations are
-// replaced by empty placeholders (a resumed engine never reads behind its
-// cursor); only the iteration-0 quantile tables — the engines' static DIMM
-// mapping option — are reconstructed, by re-sharding iteration 0 under the
-// deterministic initial assignment the run started from.
-func resumeRebalanceRun(tr *trace.Trace, net topo.Network, cfg Config, p *RebalancePartitioner, ck *CheckpointState) (*rebalanceRun, error) {
-	rr := newRebalanceState(tr, net, cfg, p)
-	rs := ck.Rebalance
-	copy(rr.table, rs.Table)
-	copy(rr.cum, rs.Cum)
-	copy(rr.lastDur, rs.LastDur)
-	copy(rr.weight, rs.Weight)
-	rr.compute, rr.exchange = ck.Compute, ck.Exchange
-	rr.out.ExchangedBytes = ck.CompactExchangedBytes
-	rr.out.LocalTNs, rr.out.RemoteTNs, rr.out.HaloBytes = rs.LocalTNs, rs.RemoteTNs, rs.HaloBytes
-	rr.out.Rebalances, rr.out.MigratedBytes = rs.Rebalances, rs.MigratedBytes
-	for i := range rr.out.Durations {
-		copy(rr.out.Durations[i], ck.Durations[i])
+	if err := check(cfg); err != nil {
+		return nil, nil, nil, err
 	}
-
-	var quantiles [][]dna.Kmer
-	if ck.ResumeIter > 0 && rr.iters > 0 {
-		init := make([]uint16, BalancedBuckets)
-		for b := range init {
-			init[b] = uint16(initialOwner(b, rr.n))
-		}
-		subs, _, _, _ := shardIteration(&tr.Iterations[0], rr.n,
-			func(key dna.Kmer) int { return int(init[p.bucket(key, rr.k1)]) }, mat(rr.n))
-		quantiles = make([][]dna.Kmer, rr.n)
-		for o := range subs {
-			quantiles[o] = subs[o].Quantiles
-		}
+	if err := ck.matches(tr, cfg, net); err != nil {
+		return nil, nil, nil, err
 	}
-	for i := 0; i < rr.n; i++ {
-		rr.traces[i] = &trace.Trace{K: tr.K, Iterations: make([]trace.Iteration, ck.ResumeIter)}
-		if quantiles != nil {
-			rr.traces[i].Quantiles = quantiles[i]
-		}
-		e, err := nmp.ResumeEngine(rr.traces[i], cfg.NMP, ck.Engines[i])
-		if err != nil {
-			return nil, err
-		}
-		rr.engines[i] = e
+	res := &Result{
+		Nodes:          cfg.Nodes,
+		Partitioner:    cfg.Partitioner.Name(),
+		Topology:       net.Name(),
+		Count:          ck.Count,
+		Construct:      ck.Construct,
+		PerNode:        append([]NodeStats(nil), ck.PerNode...),
+		ExchangedBytes: ck.PreludeExchangedBytes,
 	}
-	return rr, nil
+	d, err := newDriver(tr, net, cfg, ck)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return res, d, net, nil
 }
 
 // Marshal encodes the checkpoint as magic + version tag + gob payload.

@@ -36,19 +36,21 @@
 // compaction phase from iteration 0 on the survivors, the degenerate
 // cadence the sweep's zero point measures.
 //
-// A fault-free configuration with CheckpointEvery == 0 never enters this
-// file: Simulate dispatches here only when cfg.elastic() — the legacy
-// runtimes stay cycle-exact and allocation-identical.
+// The run is a third driver on the shared core (runtime.go), with the
+// core's live mask as the membership and topo.Degraded as its network.
+// Its one BSP loop pre-steps chunks that never cross a capture boundary
+// and prices each superstep over the live nodes; its overlapped
+// discipline calls the same segment scheduler as the fixed-membership
+// runtime, once per checkpoint segment. A fault-free configuration with
+// CheckpointEvery == 0 never enters this file: Simulate dispatches here
+// only when cfg.elastic().
 package scaleout
 
 import (
 	"fmt"
-	"math"
 
 	"nmppak/internal/dna"
 	"nmppak/internal/fault"
-	"nmppak/internal/nmp"
-	"nmppak/internal/par"
 	"nmppak/internal/sim"
 	"nmppak/internal/telemetry"
 	"nmppak/internal/topo"
@@ -65,26 +67,6 @@ const DefaultCheckpointBytesPerCycle = 16
 // blob that fails to decode.
 const elasticRingCap = 4
 
-// elasticOutcome extends the compaction outcome with the traffic the
-// elastic runtime accounts itself plus the recovery bookkeeping Result
-// surfaces.
-type elasticOutcome struct {
-	compactOutcome
-	LocalTNs  int64
-	RemoteTNs int64
-	HaloBytes int64
-
-	Checkpoints      int
-	CheckpointBytes  int64
-	CheckpointCycles sim.Cycle
-	FaultsInjected   int
-	NodesLost        int
-	Recoveries       int
-	LostIterations   int64
-	RecoveryCycles   sim.Cycle
-	RepartitionBytes int64
-}
-
 // ringEntry is one captured checkpoint: the iteration it resumes at and
 // the marshaled blob (real bytes — restore decodes them through
 // UnmarshalCheckpoint, so the ring exercises the same hardened path an
@@ -94,51 +76,39 @@ type ringEntry struct {
 	blob []byte
 }
 
-// elasticRun drives the fault-aware compaction replay. Accounting
-// invariant: compute + exchange + barrier == now at every boundary — the
-// three buckets tile the phase clock, with halo exchanges and re-partition
-// migrations in exchange (communication), link barriers in barrier with
-// their comm share tracked in linkBarrier, and sync barriers, checkpoint
-// captures, detection and restore stalls in barrier as protocol overhead.
+// elasticRun drives the fault-aware compaction replay on the shared
+// driver core, whose live mask tracks the membership and whose network is
+// the degradable wrapper. The protocol stalls — checkpoint captures,
+// detection and restore — are charged to the barrier bucket, re-partition
+// migrations to exchange. Recovery bookkeeping accumulates directly on
+// the run's Result.
 type elasticRun struct {
+	core
 	tr  *trace.Trace
 	deg *topo.Degraded
-	cfg Config
 	res *Result // prelude outcome, embedded in every captured blob
 
-	n, iters, k1 int
-	every        int     // checkpoint cadence (0 = none)
-	ckBPC        float64 // checkpoint capture/restore bytes per cycle
+	k1    int
+	every int     // checkpoint cadence (0 = none)
+	ckBPC float64 // checkpoint capture/restore bytes per cycle
 
-	events []fault.Event // plan events in application order
-	next   int           // first pending event
-	detect sim.Cycle     // failure-detection latency per recovery
+	events    []fault.Event // plan events in application order
+	nextEvent int           // first pending event
+	detect    sim.Cycle     // failure-detection latency per recovery
 
-	live []bool
-	surv []int // live node indices, ascending (failover hash targets)
-
-	engines   []*nmp.Engine
-	traces    []*trace.Trace
-	durations [][]sim.Cycle
-
-	now         sim.Cycle // compaction-phase clock
-	compute     sim.Cycle
-	exchange    sim.Cycle
-	barrier     sim.Cycle
-	linkBarrier sim.Cycle // comm share of the barrier bucket
+	surv   []int // live node indices, ascending (failover hash targets)
+	traces []*trace.Trace
 
 	localTNs, remoteTNs, haloBytes int64 // committed logical traffic
 
 	cfgDigest, trDigest uint64
 	ring                []ringEntry
-
-	out elasticOutcome
-	pr  *probes
 }
 
 // runElastic executes the compaction phase with periodic checkpoints and
-// the configured fault plan, on a degradable wrapper of net.
-func runElastic(tr *trace.Trace, net topo.Network, cfg Config, res *Result, pr *probes) (*elasticOutcome, error) {
+// the configured fault plan, on a degradable wrapper of net, recording
+// the recovery accounting and traffic on res.
+func runElastic(tr *trace.Trace, net topo.Network, cfg Config, res *Result, pr *probes) (*compactOutcome, error) {
 	er, err := newElasticRun(tr, net, cfg, res, pr)
 	if err != nil {
 		return nil, err
@@ -151,28 +121,27 @@ func runElastic(tr *trace.Trace, net topo.Network, cfg Config, res *Result, pr *
 	if err != nil {
 		return nil, err
 	}
-	return er.finish(), nil
+	res.HaloBytes = er.haloBytes
+	res.RemoteTNFrac = remoteTNFrac(er.localTNs, er.remoteTNs)
+	// Every engine — survivors complete, casualties frozen at their last
+	// committed iteration — reports its result.
+	return er.outcome(), nil
 }
 
 func newElasticRun(tr *trace.Trace, net topo.Network, cfg Config, res *Result, pr *probes) (*elasticRun, error) {
 	n := cfg.Nodes
+	deg := topo.NewDegraded(net)
 	er := &elasticRun{
+		core:      newCore(cfg, deg, len(tr.Iterations)),
 		tr:        tr,
-		deg:       topo.NewDegraded(net),
-		cfg:       cfg,
+		deg:       deg,
 		res:       res,
-		n:         n,
-		iters:     len(tr.Iterations),
 		k1:        tr.K - 1,
 		every:     cfg.CheckpointEvery,
 		ckBPC:     cfg.CheckpointBytesPerCycle,
-		live:      make([]bool, n),
-		engines:   make([]*nmp.Engine, n),
 		traces:    make([]*trace.Trace, n),
-		durations: make([][]sim.Cycle, n),
 		cfgDigest: configDigest(cfg, net.Name()),
 		trDigest:  traceDigest(tr),
-		pr:        pr,
 	}
 	if er.ckBPC <= 0 {
 		er.ckBPC = DefaultCheckpointBytesPerCycle
@@ -181,20 +150,16 @@ func newElasticRun(tr *trace.Trace, net topo.Network, cfg Config, res *Result, p
 		er.events = cfg.Faults.Sorted()
 		er.detect = cfg.Faults.DetectCycles
 	}
+	er.live = make([]bool, n)
 	for i := 0; i < n; i++ {
 		er.live[i] = true
 		er.surv = append(er.surv, i)
 		er.traces[i] = &trace.Trace{K: tr.K}
-		e, err := nmp.NewEngine(er.traces[i], cfg.NMP)
-		if err != nil {
-			return nil, err
-		}
-		er.engines[i] = e
-		er.durations[i] = make([]sim.Cycle, er.iters)
 	}
-	if pr != nil {
-		pr.attach(er.engines)
+	if err := er.loadEngines(er.traces, nil); err != nil {
+		return nil, err
 	}
+	er.setProbes(pr)
 	return er, nil
 }
 
@@ -225,21 +190,13 @@ func (er *elasticRun) nextLive(i int) int {
 	return i
 }
 
-// parallelOK reports whether the elastic run's window drivers engage
-// (see runtime_parallel.go) — cycle-exact either way: the BSP chunks and
-// the overlapped segments produce byte-identical traces, results and
-// checkpoint blobs on both paths.
-func (er *elasticRun) parallelOK() bool {
-	return par.Threads(er.cfg.Workers) > 1 && er.n > 1
-}
-
 // pendingLoss reports whether the next boundary pass will act on a node
-// loss — an event already due at the current phase time. The windowed
-// BSP driver peeks so it can drop the un-placed telemetry of pre-stepped
-// iterations before the recovery's own spans are recorded.
+// loss — an event already due at the current phase time. The BSP loop
+// peeks so it can drop the un-placed telemetry of pre-stepped iterations
+// before the recovery's own spans are recorded.
 func (er *elasticRun) pendingLoss() bool {
-	for _, ev := range er.events[er.next:] {
-		if ev.Cycle > er.now {
+	for _, ev := range er.events[er.nextEvent:] {
+		if ev.Cycle > er.now() {
 			return false
 		}
 		if ev.Kind == fault.NodeLoss {
@@ -247,62 +204,6 @@ func (er *elasticRun) pendingLoss() bool {
 		}
 	}
 	return false
-}
-
-// step advances node i by one iteration on its local clock (only live
-// nodes are ever stepped).
-func (er *elasticRun) step(i int) sim.Cycle {
-	e := er.engines[i]
-	it := e.Next()
-	if er.pr != nil {
-		er.pr.beforeStep(i, e)
-	}
-	ti := e.StepIteration(e.NextStart())
-	d := ti.End - ti.Start
-	er.durations[i][it] = d
-	if er.pr != nil {
-		er.pr.afterStep(i, e, ti)
-	}
-	return d
-}
-
-// exchange prices one all-to-all over the (possibly degraded) network at
-// the current phase time.
-func (er *elasticRun) doExchange(b [][]int64) topo.ExchangeStats {
-	if er.pr != nil {
-		return topo.ExchangeProbed(er.deg, b, er.pr.linkAt(er.pr.base+er.now))
-	}
-	return topo.Exchange(er.deg, b)
-}
-
-// stallBarrier charges a whole-machine wait to the barrier bucket (with
-// comm == true also to the link-barrier comm share) and records it on the
-// runtime and live node tracks.
-func (er *elasticRun) stallBarrier(kind telemetry.SpanKind, it int, d sim.Cycle, bytes int64, comm bool) {
-	if d <= 0 {
-		return
-	}
-	if er.pr != nil {
-		er.pr.liveStall(kind, it, er.pr.base+er.now, d, bytes, er.live)
-	}
-	er.barrier += d
-	if comm {
-		er.linkBarrier += d
-	}
-	er.now += d
-}
-
-// stallComm charges a whole-machine wait to the exchange (communication)
-// bucket.
-func (er *elasticRun) stallComm(kind telemetry.SpanKind, it int, d sim.Cycle, bytes int64) {
-	if d <= 0 {
-		return
-	}
-	if er.pr != nil {
-		er.pr.liveStall(kind, it, er.pr.base+er.now, d, bytes, er.live)
-	}
-	er.exchange += d
-	er.now += d
 }
 
 // captureDue reports whether a periodic checkpoint should be captured
@@ -315,29 +216,25 @@ func (er *elasticRun) captureDue(it int) bool {
 	return len(er.ring) == 0 || er.ring[len(er.ring)-1].iter < it
 }
 
+// segmentEnd is where the segment starting at iteration it ends: the
+// next checkpoint boundary (a coordinated capture is a global
+// synchronization), or the end of the phase.
+func (er *elasticRun) segmentEnd(it int) int {
+	if er.every > 0 {
+		return min((it/er.every+1)*er.every, er.iters)
+	}
+	return er.iters
+}
+
 // snapshot marshals the current state as a standard checkpoint blob
 // resuming at iteration it, with the elastic membership section attached.
 func (er *elasticRun) snapshot(it int) ([]byte, error) {
-	ck := &CheckpointState{
-		Version:               CheckpointVersion,
-		ConfigDigest:          er.cfgDigest,
-		TraceDigest:           er.trDigest,
-		Nodes:                 er.n,
-		K:                     er.cfg.K,
-		Overlap:               er.cfg.Overlap,
-		Partitioner:           er.cfg.Partitioner.Name(),
-		Topology:              er.deg.Name(),
-		Count:                 er.res.Count,
-		Construct:             er.res.Construct,
-		PerNode:               er.res.PerNode,
-		PreludeExchangedBytes: er.res.ExchangedBytes,
-		ResumeIter:            it,
-		Elastic: &ElasticState{
-			Live:      append([]bool(nil), er.live...),
-			LocalTNs:  er.localTNs,
-			RemoteTNs: er.remoteTNs,
-			HaloBytes: er.haloBytes,
-		},
+	ck := checkpointHeader(er.cfg, er.deg.Name(), er.cfgDigest, er.trDigest, er.res, it)
+	ck.Elastic = &ElasticState{
+		Live:      append([]bool(nil), er.live...),
+		LocalTNs:  er.localTNs,
+		RemoteTNs: er.remoteTNs,
+		HaloBytes: er.haloBytes,
 	}
 	if err := snapshotInto(ck, er.durations, er.engines); err != nil {
 		return nil, err
@@ -358,10 +255,10 @@ func (er *elasticRun) capture(it int) error {
 	}
 	er.ring = append(er.ring, ringEntry{iter: it, blob: blob})
 	d := sim.Cycle(float64(len(blob)) / er.ckBPC)
-	er.out.Checkpoints++
-	er.out.CheckpointBytes += int64(len(blob))
-	er.out.CheckpointCycles += d
-	er.stallBarrier(telemetry.SpanCheckpoint, it, d, int64(len(blob)), false)
+	er.res.Checkpoints++
+	er.res.CheckpointBytes += int64(len(blob))
+	er.res.CheckpointCycles += d
+	er.stall(telemetry.SpanCheckpoint, it, d, int64(len(blob)), &er.barrier)
 	return nil
 }
 
@@ -372,10 +269,10 @@ func (er *elasticRun) capture(it int) error {
 // the run, -1 otherwise.
 func (er *elasticRun) boundary(it int) (int, error) {
 	var losses []fault.Event
-	for er.next < len(er.events) && er.events[er.next].Cycle <= er.now {
-		e := er.events[er.next]
-		er.next++
-		er.out.FaultsInjected++
+	for er.nextEvent < len(er.events) && er.events[er.nextEvent].Cycle <= er.now() {
+		e := er.events[er.nextEvent]
+		er.nextEvent++
+		er.res.FaultsInjected++
 		if er.pr != nil {
 			arg := e.Node
 			if e.Kind != fault.NodeLoss {
@@ -420,7 +317,7 @@ func (er *elasticRun) recover(losses []fault.Event, bIter int) (int, error) {
 			return 0, fmt.Errorf("scaleout: %s kills an already-dead node", e)
 		}
 		er.live[e.Node] = false
-		er.out.NodesLost++
+		er.res.NodesLost++
 	}
 	er.surv = er.surv[:0]
 	for i, l := range er.live {
@@ -436,8 +333,8 @@ func (er *elasticRun) recover(losses []fault.Event, bIter int) (int, error) {
 	}
 
 	// Detection: the heartbeat/membership latency before survivors act.
-	er.out.RecoveryCycles += er.detect
-	er.stallBarrier(telemetry.SpanDetect, bIter, er.detect, int64(losses[0].Node), false)
+	er.res.RecoveryCycles += er.detect
+	er.stall(telemetry.SpanDetect, bIter, er.detect, int64(losses[0].Node), &er.barrier)
 
 	// Restore from the newest ring checkpoint; with an empty ring the
 	// survivors restart the compaction phase from scratch (the
@@ -453,10 +350,10 @@ func (er *elasticRun) recover(losses []fault.Event, bIter int) (int, error) {
 		ck = dec
 		resume = ck.ResumeIter
 		d := sim.Cycle(float64(len(ent.blob)) / er.ckBPC)
-		er.out.RecoveryCycles += d
-		er.stallBarrier(telemetry.SpanRestore, resume, d, int64(len(ent.blob)), false)
+		er.res.RecoveryCycles += d
+		er.stall(telemetry.SpanRestore, resume, d, int64(len(ent.blob)), &er.barrier)
 	}
-	er.out.LostIterations += int64(bIter-resume) * int64(liveBefore)
+	er.res.LostIterations += int64(bIter-resume) * int64(liveBefore)
 
 	if err := er.rollback(ck, resume); err != nil {
 		return 0, err
@@ -483,11 +380,11 @@ func (er *elasticRun) recover(losses []fault.Event, bIter int) (int, error) {
 				move[src][oa] += int64(nd.D1 + nd.D2)
 			}
 		}
-		mx := er.doExchange(move)
+		mx := er.exchangeNow(move)
 		if mx.TotalBytes > 0 {
-			er.out.ExchangedBytes += mx.TotalBytes
-			er.out.RepartitionBytes += mx.TotalBytes
-			er.stallComm(telemetry.SpanRepartition, resume, mx.Cycles, mx.TotalBytes)
+			er.exchangedBytes += mx.TotalBytes
+			er.res.RepartitionBytes += mx.TotalBytes
+			er.stall(telemetry.SpanRepartition, resume, mx.Cycles, mx.TotalBytes, &er.exchange)
 		}
 	}
 
@@ -500,7 +397,7 @@ func (er *elasticRun) recover(losses []fault.Event, bIter int) (int, error) {
 	}
 	er.ring = er.ring[:0]
 	er.ring = append(er.ring, ringEntry{iter: resume, blob: blob})
-	er.out.Recoveries++
+	er.res.Recoveries++
 	return resume, nil
 }
 
@@ -510,31 +407,15 @@ func (er *elasticRun) recover(losses []fault.Event, bIter int) (int, error) {
 // traffic counters are rewound; the phase clock is not (lost time is the
 // recovery overhead).
 func (er *elasticRun) rollback(ck *CheckpointState, resume int) error {
-	for i := 0; i < er.n; i++ {
+	for i, t := range er.traces {
 		if ck == nil {
 			er.traces[i] = &trace.Trace{K: er.tr.K}
-			e, err := nmp.NewEngine(er.traces[i], er.cfg.NMP)
-			if err != nil {
-				return err
-			}
-			er.engines[i] = e
-		} else {
-			if len(er.traces[i].Iterations) > resume {
-				er.traces[i].Iterations = er.traces[i].Iterations[:resume]
-			}
-			e, err := nmp.ResumeEngine(er.traces[i], er.cfg.NMP, ck.Engines[i])
-			if err != nil {
-				return err
-			}
-			er.engines[i] = e
+		} else if len(t.Iterations) > resume {
+			t.Iterations = t.Iterations[:resume]
 		}
-		d := er.durations[i]
-		for j := range d {
-			d[j] = 0
-		}
-		if ck != nil {
-			copy(d, ck.Durations[i])
-		}
+	}
+	if err := er.loadEngines(er.traces, ck); err != nil {
+		return err
 	}
 	if ck != nil {
 		er.localTNs = ck.Elastic.LocalTNs
@@ -543,48 +424,47 @@ func (er *elasticRun) rollback(ck *CheckpointState, resume int) error {
 	} else {
 		er.localTNs, er.remoteTNs, er.haloBytes = 0, 0, 0
 	}
-	if er.pr != nil {
-		er.pr.attach(er.engines)
-	}
 	return nil
 }
 
-// shardInto splits global iteration it under the current membership,
-// appending each live node's sub-iteration to its trace and accumulating
-// the committed traffic counters.
-func (er *elasticRun) shardInto(it int, halo [][]int64) {
-	subs, l, r, hb := shardIteration(&er.tr.Iterations[it], er.n, er.ownerOf, halo)
-	er.localTNs += l
-	er.remoteTNs += r
-	er.haloBytes += hb
-	for o := 0; o < er.n; o++ {
-		if !er.live[o] {
-			continue
+// shardRange splits global iterations [from, to) under the current
+// membership, appending each live node's sub-iterations to its trace and
+// accumulating the committed traffic counters; it returns the halo
+// matrices.
+func (er *elasticRun) shardRange(from, to int) [][][]int64 {
+	halos := make([][][]int64, to-from)
+	for j := range halos {
+		it := from + j
+		halos[j] = mat(er.n)
+		subs, l, r, hb := shardIteration(&er.tr.Iterations[it], er.n, er.ownerOf, halos[j])
+		er.localTNs += l
+		er.remoteTNs += r
+		er.haloBytes += hb
+		for o, t := range er.traces {
+			if !er.live[o] {
+				continue
+			}
+			if it == 0 {
+				t.Quantiles = subs[o].Quantiles
+			}
+			t.Iterations = append(t.Iterations, subs[o])
 		}
-		if it == 0 {
-			er.traces[o].Quantiles = subs[o].Quantiles
-		}
-		er.traces[o].Iterations = append(er.traces[o].Iterations, subs[o])
 	}
+	return halos
 }
 
 // runBSP is the elastic BSP discipline: golden supersteps over the live
 // membership, with fault boundaries, periodic captures and recoveries
 // spliced between them. Fault-free it reproduces the legacy BSP schedule
-// plus the checkpoint stalls. With a worker pool the supersteps advance
-// through the window protocol (bspChunk) in chunks of up to PrestepDepth
-// iterations, never crossing a capture boundary — byte-identical to the
-// serial path either way.
+// plus the checkpoint stalls. Supersteps advance in pre-stepped chunks
+// (core.chunk) that never cross a capture boundary; a fault boundary
+// inside a chunk stays conservative because a recovery rolls engines,
+// durations, traces and counters back wholesale (rollback). The only
+// chunk state with no superstep-at-a-time counterpart is the un-placed
+// telemetry of iterations pre-stepped past the detection boundary, which
+// is dropped (dropBuffered) before the recovery records its own spans.
 func (er *elasticRun) runBSP() error {
-	lb := er.deg.BarrierCycles()
-	sb := er.cfg.NMP.SyncBarrierCycles
-	windowed := er.parallelOK()
-	if windowed && er.pr != nil {
-		er.pr.enableBuffer(er.n, er.iters)
-	}
-	k := er.cfg.depth()
-	durs := make([]sim.Cycle, er.n)
-	halos := make([][][]int64, 0, k)
+	k := er.chunk()
 	it := 0
 	for {
 		cont, err := er.boundary(it)
@@ -603,166 +483,33 @@ func (er *elasticRun) runBSP() error {
 				return err
 			}
 		}
-
-		if windowed {
-			// Chunk [it, end): capped by the pre-step depth and by the
-			// next capture boundary (a capture is a global horizon).
-			end := it + k
-			if er.every > 0 {
-				if b := (it/er.every + 1) * er.every; b < end {
-					end = b
+		end := min(it+k, er.segmentEnd(it))
+		halos := er.shardRange(it, end)
+		er.prestep(it, end)
+		for j := it; j < end; j++ {
+			if j > it {
+				if er.pr != nil && er.pendingLoss() {
+					for i := 0; i < er.n; i++ {
+						if er.live[i] {
+							er.pr.dropBuffered(i, j)
+						}
+					}
+				}
+				if cont, err = er.boundary(j); err != nil {
+					return err
+				}
+				if cont >= 0 {
+					break
 				}
 			}
-			if end > er.iters {
-				end = er.iters
-			}
-			cont, err = er.bspChunk(it, end, lb, sb, durs, &halos)
-			if err != nil {
-				return err
-			}
-			if cont >= 0 {
-				it = cont
-				continue
-			}
+			er.superstep(j, halos[j-it])
+		}
+		if cont >= 0 {
+			it = cont
+		} else {
 			it = end
-			continue
-		}
-
-		halo := mat(er.n)
-		er.shardInto(it, halo)
-		for i := range durs {
-			durs[i] = 0
-		}
-		par.ForIdx(er.n, er.cfg.Workers, func(i int) {
-			if er.live[i] {
-				durs[i] = er.step(i)
-			}
-		})
-		var slowest sim.Cycle
-		maxIdx := 0
-		for i, d := range durs {
-			if d > slowest {
-				slowest = d
-				maxIdx = i
-			}
-		}
-		if er.pr != nil {
-			er.pr.liveCompute(it, er.pr.base+er.now, durs, er.live, slowest, false)
-		}
-		er.compute += slowest
-		er.now += slowest
-
-		hx := er.doExchange(halo)
-		er.out.ExchangedBytes += hx.TotalBytes
-		er.stallComm(telemetry.SpanExchangeWait, it, hx.Cycles, hx.TotalBytes)
-
-		if it+1 < er.iters {
-			er.stallBarrier(telemetry.SpanLinkBarrier, it, lb, 0, true)
-			er.stallBarrier(telemetry.SpanSyncBarrier, it, sb, 0, false)
-			if er.pr != nil {
-				for i := 0; i < er.n; i++ {
-					if er.live[i] {
-						er.pr.c.AddDep(i, it+1, telemetry.BoundBarrier, maxIdx)
-					}
-				}
-			}
-		}
-		it++
-	}
-}
-
-// bspChunk advances the windowed elastic BSP through supersteps
-// [from, to): pre-shard the chunk's halos, pre-step the live engines
-// across the worker pool (buffering their telemetry), then drain the
-// fault boundaries, measurement placement and exchange/barrier pricing
-// serially in the exact serial order. Interior fault boundaries stay
-// conservative because a recovery rolls engines, durations, traces and
-// counters back wholesale (rollback); the only window state with no
-// serial counterpart is the un-placed telemetry of iterations pre-stepped
-// past the detection boundary, which is dropped (dropBuffered) before the
-// recovery records its own spans so the tracks stay byte-identical.
-// Returns the resume iteration when a recovery rewound the run, -1
-// otherwise.
-func (er *elasticRun) bspChunk(from, to int, lb, sb sim.Cycle, durs []sim.Cycle, halos *[][][]int64) (int, error) {
-	hs := (*halos)[:0]
-	for j := from; j < to; j++ {
-		h := mat(er.n)
-		er.shardInto(j, h)
-		hs = append(hs, h)
-	}
-	*halos = hs
-	par.ForIdx(er.n, er.cfg.Workers, func(i int) {
-		if !er.live[i] {
-			return
-		}
-		for j := from; j < to; j++ {
-			er.step(i)
-			if er.pr != nil {
-				er.pr.bufferStep(i, j)
-			}
-		}
-	})
-	for j := from; j < to; j++ {
-		if j > from {
-			if er.pr != nil && er.pendingLoss() {
-				for i := 0; i < er.n; i++ {
-					if er.live[i] {
-						er.pr.dropBuffered(i, j)
-					}
-				}
-			}
-			cont, err := er.boundary(j)
-			if err != nil {
-				return 0, err
-			}
-			if cont >= 0 {
-				return cont, nil
-			}
-		}
-		var slowest sim.Cycle
-		maxIdx := 0
-		for i := 0; i < er.n; i++ {
-			if er.live[i] {
-				durs[i] = er.durations[i][j]
-			} else {
-				durs[i] = 0
-			}
-			if durs[i] > slowest {
-				slowest = durs[i]
-				maxIdx = i
-			}
-		}
-		if er.pr != nil {
-			er.pr.liveCompute(j, er.pr.base+er.now, durs, er.live, slowest, true)
-		}
-		er.compute += slowest
-		er.now += slowest
-
-		hx := er.doExchange(hs[j-from])
-		er.out.ExchangedBytes += hx.TotalBytes
-		er.stallComm(telemetry.SpanExchangeWait, j, hx.Cycles, hx.TotalBytes)
-
-		if j+1 < er.iters {
-			er.stallBarrier(telemetry.SpanLinkBarrier, j, lb, 0, true)
-			er.stallBarrier(telemetry.SpanSyncBarrier, j, sb, 0, false)
-			if er.pr != nil {
-				for i := 0; i < er.n; i++ {
-					if er.live[i] {
-						er.pr.c.AddDep(i, j+1, telemetry.BoundBarrier, maxIdx)
-					}
-				}
-			}
 		}
 	}
-	return -1, nil
-}
-
-// segOutcome summarizes one speculative overlapped segment.
-type segOutcome struct {
-	makespan sim.Cycle   // segment completion (last halo delivery)
-	compute  sim.Cycle   // longest live node's local chain in the segment
-	boundary []sim.Cycle // boundary[j]: latest live finish of iteration s+j
-	bytes    int64       // halo bytes streamed
 }
 
 // runOverlapped is the elastic overlapped discipline: the event-driven
@@ -776,8 +523,6 @@ type segOutcome struct {
 // over. With CheckpointEvery == 0 the whole phase is one segment and a
 // fault-free run reproduces the legacy overlapped schedule exactly.
 func (er *elasticRun) runOverlapped() error {
-	lb := er.deg.BarrierCycles()
-	sb := er.cfg.NMP.SyncBarrierCycles
 	it := 0
 	for {
 		cont, err := er.boundary(it)
@@ -792,33 +537,27 @@ func (er *elasticRun) runOverlapped() error {
 			return nil
 		}
 		if it > 0 {
-			er.stallBarrier(telemetry.SpanLinkBarrier, it-1, lb, 0, true)
-			er.stallBarrier(telemetry.SpanSyncBarrier, it-1, sb, 0, false)
+			er.barriers(it - 1)
 		}
 		if er.captureDue(it) {
 			if err := er.capture(it); err != nil {
 				return err
 			}
 		}
-		end := er.iters
-		if er.every > 0 {
-			if b := (it/er.every + 1) * er.every; b < end {
-				end = b
-			}
-		}
+		end := er.segmentEnd(it)
 
 		var marks probeMark
 		if er.pr != nil {
 			marks = er.pr.mark()
 		}
-		seg := er.runSegment(it, end)
+		seg := er.overlap(it, end, er.shardRange(it, end), er.now(), it)
 
 		// A loss inside the segment window invalidates it: rewind the
 		// speculative recording, commit the window up to the detection
 		// boundary as compute, and recover.
 		var fc sim.Cycle = -1
-		for _, ev := range er.events[er.next:] {
-			if ev.Cycle > er.now+seg.makespan {
+		for _, ev := range er.events[er.nextEvent:] {
+			if ev.Cycle > er.now()+seg.makespan {
 				break
 			}
 			if ev.Kind == fault.NodeLoss {
@@ -829,7 +568,7 @@ func (er *elasticRun) runOverlapped() error {
 		if fc >= 0 {
 			bj := -1
 			for j := range seg.boundary {
-				if er.now+seg.boundary[j] >= fc {
+				if er.now()+seg.boundary[j] >= fc {
 					bj = j
 					break
 				}
@@ -837,12 +576,8 @@ func (er *elasticRun) runOverlapped() error {
 			if bj >= 0 {
 				if er.pr != nil {
 					er.pr.rewind(marks)
-					if seg.boundary[bj] > 0 {
-						er.pr.phases.Add(telemetry.SpanCompute, er.pr.base+er.now, er.pr.base+er.now+seg.boundary[bj], int64(it), 0)
-					}
 				}
-				er.compute += seg.boundary[bj]
-				er.now += seg.boundary[bj]
+				er.commit(&segOutcome{compute: seg.boundary[bj], makespan: seg.boundary[bj]}, int64(it))
 				cont, err := er.boundary(it + bj + 1)
 				if err != nil {
 					return err
@@ -856,283 +591,7 @@ func (er *elasticRun) runOverlapped() error {
 			// The loss lands past the segment's last iteration boundary:
 			// commit the segment and let the next boundary pass detect it.
 		}
-
-		if er.pr != nil {
-			if seg.compute > 0 {
-				er.pr.phases.Add(telemetry.SpanCompute, er.pr.base+er.now, er.pr.base+er.now+seg.compute, int64(it), 0)
-			}
-			if seg.makespan > seg.compute {
-				er.pr.phases.Add(telemetry.SpanExchangeWait, er.pr.base+er.now+seg.compute, er.pr.base+er.now+seg.makespan, int64(it), seg.bytes)
-			}
-		}
-		er.compute += seg.compute
-		er.exchange += seg.makespan - seg.compute
-		er.now += seg.makespan
-		er.out.ExchangedBytes += seg.bytes
+		er.commit(seg, int64(it))
 		it = end
 	}
-}
-
-// runSegment executes iterations [s, e) of the overlapped schedule over
-// the live membership on a fresh event timeline: the same
-// finish-stream-start dependency structure as the legacy runtime, scoped
-// to the segment and routed over the degraded network.
-func (er *elasticRun) runSegment(s, e int) *segOutcome {
-	n, m := er.n, e-s
-	pr := er.pr
-	sb := er.cfg.NMP.SyncBarrierCycles
-	seg := &segOutcome{boundary: make([]sim.Cycle, m)}
-
-	halo := make([][][]int64, m)
-	for j := 0; j < m; j++ {
-		halo[j] = mat(n)
-		er.shardInto(s+j, halo[j])
-	}
-
-	g := &sim.Engine{}
-	if pr != nil {
-		g.SetProbe(&pr.loop)
-	}
-	type segNode struct {
-		pendingIn []int
-		readyAt   sim.Cycle
-		finished  []bool
-		started   []bool
-	}
-	nodes := make([]*segNode, n)
-	local0 := make([]sim.Cycle, n)
-	lastEnd := make([]sim.Cycle, n)
-	for i := 0; i < n; i++ {
-		if !er.live[i] {
-			continue
-		}
-		nodes[i] = &segNode{
-			pendingIn: make([]int, m),
-			finished:  make([]bool, m),
-			started:   make([]bool, m),
-		}
-		local0[i] = er.engines[i].Now()
-	}
-	for j := 0; j < m; j++ {
-		for src := 0; src < n; src++ {
-			for dst := 0; dst < n; dst++ {
-				if dst != src && halo[j][src][dst] > 0 {
-					nodes[dst].pendingIn[j]++
-					seg.bytes += halo[j][src][dst]
-				}
-			}
-		}
-	}
-	fl := topo.NewFlight(er.deg, g)
-	var off sim.Cycle
-	if pr != nil {
-		off = pr.base + er.now
-		fl.SetProbe(&topo.Probe{Links: pr.links, Offset: off})
-	}
-	note := func(t sim.Cycle) {
-		if t > seg.makespan {
-			seg.makespan = t
-		}
-	}
-
-	// The window protocol engages per segment: the live membership and the
-	// degraded routes both shift at fault boundaries, so the gate and the
-	// lookahead matrix are segment-local. A degenerate segment (single
-	// survivor, zero-lookahead network) runs the lazy serial schedule.
-	windowed := er.parallelOK() && len(er.surv) > 1 && er.deg.MinLatency() > 0
-	prestepped := 0
-
-	var begin func(i, j int, at sim.Cycle)
-	tryStart := func(i, j, src int) {
-		nd := nodes[i]
-		if j >= m || nd.started[j] || !nd.finished[j-1] || nd.pendingIn[j-1] > 0 {
-			return
-		}
-		nd.started[j] = true
-		at := nd.readyAt
-		bound := telemetry.BoundSync
-		if now := g.Now(); now > at {
-			at = now
-			if src >= 0 {
-				bound = telemetry.BoundDelivery
-			}
-		}
-		if pr != nil {
-			sn := src
-			if bound != telemetry.BoundDelivery {
-				sn = -1
-			}
-			pr.c.AddDep(i, s+j, bound, sn)
-		}
-		begin(i, j, at)
-	}
-	finish := func(i, j int) {
-		nd := nodes[i]
-		now := g.Now()
-		nd.finished[j] = true
-		if now > seg.boundary[j] {
-			seg.boundary[j] = now
-		}
-		note(now)
-		for off := 1; off < n; off++ {
-			dst := (i + off) % n
-			if !er.live[dst] {
-				continue
-			}
-			b := halo[j][i][dst]
-			if b <= 0 {
-				continue
-			}
-			d := dst
-			fl.Send(i, d, b, func() {
-				note(g.Now())
-				nodes[d].pendingIn[j]--
-				tryStart(d, j+1, i)
-			})
-		}
-		if j+1 < m {
-			nd.readyAt = now + sb
-			tryStart(i, j+1, -1)
-		}
-	}
-	begin = func(i, j int, at sim.Cycle) {
-		g.At(at, func() {
-			if pr != nil && j > 0 {
-				e0 := lastEnd[i]
-				if sb > 0 {
-					pr.node[i].Add(telemetry.SpanSyncBarrier, off+e0, off+e0+sb, int64(s+j), 0)
-				}
-				if at > e0+sb {
-					pr.node[i].Add(telemetry.SpanDeliveryWait, off+e0+sb, off+at, int64(s+j), 0)
-				}
-			}
-			var d sim.Cycle
-			if j < prestepped {
-				d = er.durations[i][s+j]
-				if pr != nil {
-					pr.placeBuffered(i, s+j, off+at)
-				}
-			} else {
-				if windowed {
-					panic("scaleout: windowed elastic segment reached an un-stepped iteration")
-				}
-				d = er.step(i)
-				if pr != nil {
-					pr.placeIter(i, s+j, off+at)
-				}
-			}
-			lastEnd[i] = at + d
-			g.After(d, func() { finish(i, j) })
-		})
-	}
-	for i := 0; i < n; i++ {
-		if er.live[i] {
-			nodes[i].started[0] = true
-			begin(i, 0, 0)
-		}
-	}
-	if windowed {
-		// Window driver on the segment-local clock: pre-step the live
-		// engines in chunks of up to PrestepDepth iterations, derive the
-		// conservative horizon from the chain bounds plus the degraded
-		// per-pair lookahead, and drain the segment's event loop up to it.
-		// Identical closures in identical order — the segment stays
-		// byte-identical, so the mark/rewind speculation in runOverlapped
-		// composes unchanged.
-		if pr != nil && pr.buf == nil {
-			pr.enableBuffer(n, er.iters)
-		}
-		look := pairLookahead(er.deg, n)
-		k := er.cfg.depth()
-		workers := er.cfg.Workers
-		lbound := make([]sim.Cycle, n)
-		lend := make([]sim.Cycle, n)
-		for r := 0; r < m; r += k {
-			hi := r + k
-			if hi > m {
-				hi = m
-			}
-			par.ForIdx(n, workers, func(i int) {
-				if !er.live[i] {
-					return
-				}
-				for j := r; j < hi; j++ {
-					er.step(i)
-					if pr != nil {
-						pr.bufferStep(i, s+j)
-					}
-				}
-			})
-			prestepped = hi
-			for i := 0; i < n; i++ {
-				if !er.live[i] {
-					continue
-				}
-				for j := r; j < hi; j++ {
-					lend[i] = lbound[i] + er.durations[i][s+j]
-					lbound[i] = lend[i] + sb
-				}
-			}
-			if hi >= m {
-				break
-			}
-			h := sim.Cycle(math.MaxInt64)
-			hj := halo[hi-1]
-			for i := 0; i < n; i++ {
-				if !er.live[i] {
-					continue
-				}
-				bound := lbound[i]
-				for src := 0; src < n; src++ {
-					if src != i && er.live[src] && hj[src][i] > 0 {
-						if d := lend[src] + look[src][i]; d > bound {
-							bound = d
-						}
-					}
-				}
-				if bound < h {
-					h = bound
-				}
-			}
-			g.RunUntil(h)
-		}
-	}
-	g.Run()
-
-	for i := 0; i < n; i++ {
-		if !er.live[i] {
-			continue
-		}
-		// A segment past iteration 0 re-enters each engine through
-		// NextStart(), whose leading sync barrier the global schedule has
-		// already charged between segments — drop it from the local chain
-		// so compute never exceeds the segment makespan.
-		lead := sim.Cycle(0)
-		if s > 0 {
-			lead = sb
-		}
-		if c := er.engines[i].Now() - local0[i] - lead; c > seg.compute {
-			seg.compute = c
-		}
-		if pr != nil && lastEnd[i] < seg.makespan {
-			pr.node[i].Add(telemetry.SpanIdle, off+lastEnd[i], off+seg.makespan, int64(e-1), 0)
-		}
-	}
-	return seg
-}
-
-// finish seals the outcome: the three accounting buckets tile the phase
-// clock, and every engine — survivors complete, casualties frozen at
-// their last committed iteration — reports its result.
-func (er *elasticRun) finish() *elasticOutcome {
-	out := &er.out
-	out.Phase = PhaseCycles{Compute: er.compute, Exchange: er.exchange, Barrier: er.barrier}
-	out.LinkBarrier = er.linkBarrier
-	out.Durations = er.durations
-	out.LocalTNs, out.RemoteTNs, out.HaloBytes = er.localTNs, er.remoteTNs, er.haloBytes
-	out.NMP = make([]*nmp.Result, er.n)
-	for i, e := range er.engines {
-		out.NMP[i] = e.Result()
-	}
-	return out
 }

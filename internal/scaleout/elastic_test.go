@@ -27,29 +27,35 @@ func conserved(res *Result) (nmpTot, cpuTot int64) {
 // A dormant fault plan (events scheduled far past the end of the run) and
 // no checkpoint cadence routes the run through the elastic runtime but
 // changes nothing: the result must be identical to the legacy runtime's,
-// field for field, in both disciplines.
+// field for field, in both disciplines. Explicit worker counts put both
+// the superstep-at-a-time and the pre-stepped BSP loop, and both branches
+// of the overlapped segment scheduler (lazy and windowed), under each of
+// their two callers on any host.
 func TestElasticDormantPlanMatchesGolden(t *testing.T) {
 	reads := testReads(t, 20_000)
 	tr := testTrace(t, reads, 32, 3)
-	for _, overlap := range []bool{false, true} {
-		cfg := DefaultConfig(4)
-		cfg.Overlap = overlap
-		want, err := Simulate(reads, tr, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Faults = fault.NodeLossAt(1, 1<<40, 500)
-		got, err := Simulate(reads, tr, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.FaultsInjected != 0 || got.NodesLost != 0 || got.Recoveries != 0 {
-			t.Fatalf("overlap=%v: dormant plan injected %d faults, lost %d nodes",
-				overlap, got.FaultsInjected, got.NodesLost)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("overlap=%v: elastic run with a dormant plan differs from golden:\n%+v\nvs\n%+v",
-				overlap, got, want)
+	for _, workers := range []int{1, 4} {
+		for _, overlap := range []bool{false, true} {
+			cfg := DefaultConfig(4)
+			cfg.Overlap = overlap
+			cfg.Workers = workers
+			want, err := Simulate(reads, tr, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Faults = fault.NodeLossAt(1, 1<<40, 500)
+			got, err := Simulate(reads, tr, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.FaultsInjected != 0 || got.NodesLost != 0 || got.Recoveries != 0 {
+				t.Fatalf("workers=%d overlap=%v: dormant plan injected %d faults, lost %d nodes",
+					workers, overlap, got.FaultsInjected, got.NodesLost)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("workers=%d overlap=%v: elastic run with a dormant plan differs from golden:\n%+v\nvs\n%+v",
+					workers, overlap, got, want)
+			}
 		}
 	}
 }

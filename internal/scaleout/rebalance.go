@@ -17,8 +17,6 @@ import (
 	"sort"
 
 	"nmppak/internal/dna"
-	"nmppak/internal/nmp"
-	"nmppak/internal/par"
 	"nmppak/internal/sim"
 	"nmppak/internal/telemetry"
 	"nmppak/internal/topo"
@@ -76,18 +74,6 @@ func (p *RebalancePartitioner) Owner(key dna.Kmer, kk, nodes int) int {
 		return 0
 	}
 	return initialOwner(p.bucket(key, kk), nodes)
-}
-
-// rebalanceOutcome extends the compaction outcome with the traffic and
-// migration accounting the dynamic runtime produces itself (the static
-// path reads these off ShardTrace).
-type rebalanceOutcome struct {
-	compactOutcome
-	LocalTNs      int64
-	RemoteTNs     int64
-	HaloBytes     int64
-	Rebalances    int
-	MigratedBytes int64
 }
 
 // migrate mutates the bucket ownership table, moving buckets from
@@ -191,23 +177,19 @@ func (p *RebalancePartitioner) migrate(table []uint16, cum, dur []sim.Cycle, wei
 	return moved
 }
 
-// rebalanceRun is the dynamic-ownership compaction runtime, restructured
-// so a run can be advanced iteration range by iteration range: runRebalanced
-// drives it start to finish, while the checkpoint layer (checkpoint.go)
-// stops mid-way, snapshots the mutable state (ownership table, measured
-// busy times, bucket weights, engines, accounting) and later reconstructs
-// an equivalent run that finishes bit-identically.
+// rebalanceRun is the dynamic-ownership compaction driver, advanced
+// iteration range by iteration range: Simulate drives it start to finish,
+// while Checkpoint and Session stop at any boundary, snapshot the mutable
+// state (ownership table, measured busy times, bucket weights, engines,
+// accounting) and later rebuild an equivalent run that finishes
+// bit-identically.
 type rebalanceRun struct {
-	tr  *trace.Trace
-	net topo.Network
-	cfg Config
-	p   *RebalancePartitioner
+	core
+	tr *trace.Trace
+	p  *RebalancePartitioner
+	k1 int
 
-	n, iters, k1 int
-
-	out     *rebalanceOutcome
-	traces  []*trace.Trace
-	engines []*nmp.Engine
+	traces []*trace.Trace
 
 	table []uint16 // bucket -> owning node (mutated by migrations)
 	// iterBytes[it] is the global traced MacroNode bytes remaining from
@@ -221,60 +203,30 @@ type rebalanceRun struct {
 	weight  []int64     // previous iteration's per-bucket bytes
 	prev    []uint16    // scratch: ownership before the last migration
 
-	compute, exchange sim.Cycle
-
-	// pr is the run's telemetry glue; nil disables every recording site.
-	pr *probes
+	localTNs, remoteTNs, haloBytes int64
+	rebalances                     int
+	migratedBytes                  int64
 }
 
-// setProbes attaches (or, with nil, skips) the run's telemetry glue.
-func (rr *rebalanceRun) setProbes(pr *probes) {
-	rr.pr = pr
-	if pr != nil {
-		pr.attach(rr.engines)
-	}
-}
-
-// newRebalanceRun prepares a fresh dynamic-ownership run: static initial
-// assignment, empty per-node traces, engines at iteration 0.
-func newRebalanceRun(tr *trace.Trace, net topo.Network, cfg Config, p *RebalancePartitioner) (*rebalanceRun, error) {
-	rr := newRebalanceState(tr, net, cfg, p)
-	for i := 0; i < rr.n; i++ {
-		rr.traces[i] = &trace.Trace{K: tr.K}
-		e, err := nmp.NewEngine(rr.traces[i], cfg.NMP)
-		if err != nil {
-			return nil, err
-		}
-		rr.engines[i] = e
-	}
-	for b := range rr.table {
-		rr.table[b] = uint16(initialOwner(b, rr.n))
-	}
-	return rr, nil
-}
-
-// newRebalanceState allocates the run skeleton shared by the fresh and the
-// restored constructors: everything derivable from the immutable inputs
-// (the remaining-work suffix sums), plus zeroed mutable state.
-func newRebalanceState(tr *trace.Trace, net topo.Network, cfg Config, p *RebalancePartitioner) *rebalanceRun {
-	n := cfg.Nodes
+// newRebalanceRun prepares a dynamic-ownership run: at iteration 0 under
+// the static initial assignment, or — with a non-nil ck — at the blob's
+// pause point. A restored run's per-node sub-traces of the executed
+// iterations are empty placeholders (a resumed engine never reads behind
+// its cursor); only the iteration-0 quantile tables — the engines' static
+// DIMM mapping option — are rebuilt, by re-sharding iteration 0 under the
+// initial assignment the run started from.
+func newRebalanceRun(tr *trace.Trace, net topo.Network, cfg Config, p *RebalancePartitioner, ck *CheckpointState) (*rebalanceRun, error) {
 	iters := len(tr.Iterations)
 	rr := &rebalanceRun{
-		tr: tr, net: net, cfg: cfg, p: p,
-		n: n, iters: iters, k1: tr.K - 1,
-		out:       &rebalanceOutcome{},
-		traces:    make([]*trace.Trace, n),
-		engines:   make([]*nmp.Engine, n),
+		core: newCore(cfg, net, iters),
+		tr:   tr, p: p, k1: tr.K - 1,
+		traces:    make([]*trace.Trace, cfg.Nodes),
 		table:     make([]uint16, BalancedBuckets),
 		iterBytes: make([]float64, iters+1),
-		lastDur:   make([]sim.Cycle, n),
-		cum:       make([]sim.Cycle, n),
+		lastDur:   make([]sim.Cycle, cfg.Nodes),
+		cum:       make([]sim.Cycle, cfg.Nodes),
 		weight:    make([]int64, BalancedBuckets),
 		prev:      make([]uint16, BalancedBuckets),
-	}
-	rr.out.Durations = make([][]sim.Cycle, n)
-	for i := 0; i < n; i++ {
-		rr.out.Durations[i] = make([]sim.Cycle, iters)
 	}
 	for it := iters - 1; it >= 0; it-- {
 		var b float64
@@ -284,20 +236,49 @@ func newRebalanceState(tr *trace.Trace, net topo.Network, cfg Config, p *Rebalan
 		}
 		rr.iterBytes[it] = b + rr.iterBytes[it+1]
 	}
-	return rr
+	for b := range rr.table {
+		rr.table[b] = uint16(initialOwner(b, rr.n))
+	}
+	resume := 0
+	if ck != nil {
+		resume = ck.ResumeIter
+	}
+	var quantiles []trace.Iteration
+	if resume > 0 && iters > 0 {
+		quantiles, _, _, _ = shardIteration(&tr.Iterations[0], rr.n, rr.ownerOf, mat(rr.n))
+	}
+	for i := range rr.traces {
+		rr.traces[i] = &trace.Trace{K: tr.K, Iterations: make([]trace.Iteration, resume)}
+		if quantiles != nil {
+			rr.traces[i].Quantiles = quantiles[i].Quantiles
+		}
+	}
+	if err := rr.loadEngines(rr.traces, ck); err != nil {
+		return nil, err
+	}
+	if ck != nil {
+		rs := ck.Rebalance
+		copy(rr.table, rs.Table)
+		copy(rr.cum, rs.Cum)
+		copy(rr.lastDur, rs.LastDur)
+		copy(rr.weight, rs.Weight)
+		rr.localTNs, rr.remoteTNs, rr.haloBytes = rs.LocalTNs, rs.RemoteTNs, rs.HaloBytes
+		rr.rebalances, rr.migratedBytes = rs.Rebalances, rs.MigratedBytes
+		rr.resumeBSP(ck)
+	}
+	return rr, nil
 }
 
 // migrateAt runs the iteration-it migration decision against the
 // measurements accumulated so far and, when buckets move, prices the
-// transfer over the network. Returns the advanced telemetry clock.
+// transfer over the network.
 //
 // Every live MacroNode appears in its iteration's trace (P1 visits the
 // full live population each iteration), so pricing the move off
 // iter.Nodes charges every node a bucket move relocates; a migration
 // that moves only drained buckets (no live nodes left) is a no-op and
 // is not counted.
-func (rr *rebalanceRun) migrateAt(it int, gnow sim.Cycle) sim.Cycle {
-	n, out, p, pr := rr.n, rr.out, rr.p, rr.pr
+func (rr *rebalanceRun) migrateAt(it int) {
 	iter := &rr.tr.Iterations[it]
 	copy(rr.prev, rr.table)
 	lastBytes := rr.iterBytes[it-1] - rr.iterBytes[it]
@@ -305,33 +286,24 @@ func (rr *rebalanceRun) migrateAt(it int, gnow sim.Cycle) sim.Cycle {
 	if lastBytes > 0 {
 		decay = rr.iterBytes[it] / lastBytes
 	}
-	if !p.migrate(rr.table, rr.cum, rr.lastDur, rr.weight, decay, n) {
-		return gnow
+	if !rr.p.migrate(rr.table, rr.cum, rr.lastDur, rr.weight, decay, rr.n) {
+		return
 	}
-	move := mat(n)
+	move := mat(rr.n)
 	for i := range iter.Nodes {
 		nd := &iter.Nodes[i]
-		b := p.bucket(nd.Key, rr.k1)
+		b := rr.p.bucket(nd.Key, rr.k1)
 		if rr.prev[b] != rr.table[b] {
 			move[rr.prev[b]][rr.table[b]] += int64(nd.D1 + nd.D2)
 		}
 	}
-	var mx topo.ExchangeStats
-	if pr != nil {
-		mx = topo.ExchangeProbed(rr.net, move, pr.linkAt(gnow))
-	} else {
-		mx = topo.Exchange(rr.net, move)
-	}
+	mx := rr.exchangeNow(move)
 	if mx.TotalBytes > 0 {
-		rr.exchange += mx.Cycles
-		out.ExchangedBytes += mx.TotalBytes
-		out.MigratedBytes += mx.TotalBytes
-		out.Rebalances++
-		if pr != nil {
-			gnow = pr.stall(telemetry.SpanMigration, it, gnow, mx.Cycles, mx.TotalBytes)
-		}
+		rr.exchangedBytes += mx.TotalBytes
+		rr.migratedBytes += mx.TotalBytes
+		rr.rebalances++
+		rr.stall(telemetry.SpanMigration, it, mx.Cycles, mx.TotalBytes, &rr.exchange)
 	}
-	return gnow
 }
 
 // shard slices iteration it across the nodes under the current ownership
@@ -340,9 +312,9 @@ func (rr *rebalanceRun) migrateAt(it int, gnow sim.Cycle) sim.Cycle {
 func (rr *rebalanceRun) shard(it int) [][]int64 {
 	halo := mat(rr.n)
 	subs, l, r, hb := shardIteration(&rr.tr.Iterations[it], rr.n, rr.ownerOf, halo)
-	rr.out.LocalTNs += l
-	rr.out.RemoteTNs += r
-	rr.out.HaloBytes += hb
+	rr.localTNs += l
+	rr.remoteTNs += r
+	rr.haloBytes += hb
 	for o := 0; o < rr.n; o++ {
 		if it == 0 {
 			rr.traces[o].Quantiles = subs[o].Quantiles
@@ -362,159 +334,37 @@ func (rr *rebalanceRun) refreshWeights(it int) {
 	}
 }
 
-// parallelOK reports whether the advancement takes the windowed chunked
-// path (advanceWindowed) — cycle-exact either way, like every parallel
-// dispatch in this package.
-func (rr *rebalanceRun) parallelOK() bool {
-	return par.Threads(rr.cfg.Workers) > 1 && rr.n > 1
-}
-
-// advance executes iterations [from, to): between iterations, re-fit
+// advance executes iterations [next, to): between iterations, re-fit
 // ownership to the measured busy times and charge the moved MacroNodes
-// over the network (straggler -> new owner); then shard the iteration
-// under the current table, step every engine, and refresh the measurement
-// state the next migration decision reads.
-func (rr *rebalanceRun) advance(from, to int) {
-	if rr.parallelOK() {
-		rr.advanceWindowed(from, to)
-		return
-	}
-	n, out := rr.n, rr.out
-	pr := rr.pr
-	lb := rr.net.BarrierCycles()
-	sb := rr.cfg.NMP.SyncBarrierCycles
-	var gnow sim.Cycle
-	if pr != nil {
-		gnow = pr.bspStart(rr.compute, rr.exchange, from, rr.iters, lb, sb)
-	}
-	for it := from; it < to; it++ {
-		if it > 0 && it%rr.p.Every == 0 && n > 1 {
-			gnow = rr.migrateAt(it, gnow)
-		}
-		halo := rr.shard(it)
-
-		par.ForIdx(n, rr.cfg.Workers, func(i int) {
-			e := rr.engines[i]
-			if pr != nil {
-				pr.beforeStep(i, e)
-			}
-			ti := e.StepIteration(e.NextStart())
-			out.Durations[i][it] = ti.End - ti.Start
-			if pr != nil {
-				pr.afterStep(i, e, ti)
-			}
-		})
-		var slowest sim.Cycle
-		maxIdx := 0
-		for i := 0; i < n; i++ {
-			rr.lastDur[i] = out.Durations[i][it]
-			rr.cum[i] += rr.lastDur[i]
-			if rr.lastDur[i] > slowest {
-				slowest = rr.lastDur[i]
-				maxIdx = i
-			}
-		}
-		rr.compute += slowest
-		var hx topo.ExchangeStats
-		if pr != nil {
-			gnow = pr.superstepCompute(it, gnow, rr.lastDur, slowest, false)
-			hx = topo.ExchangeProbed(rr.net, halo, pr.linkAt(gnow))
-		} else {
-			hx = topo.Exchange(rr.net, halo)
-		}
-		rr.exchange += hx.Cycles
-		out.ExchangedBytes += hx.TotalBytes
-		if pr != nil {
-			gnow = pr.superstepComm(it, rr.iters, gnow, hx, lb, sb, maxIdx)
-		}
-
-		rr.refreshWeights(it)
-	}
-}
-
-// advanceWindowed is advance on the window protocol of
-// runtime_parallel.go: migrations are window barriers — the ownership
-// table is frozen between them, so the shard feed and the engine
-// stepping of every iteration inside a window are already determined at
-// its start. Each window (further chunked by Config.PrestepDepth)
-// pre-shards its iterations, pre-steps all engines across the worker
-// pool, then drains the measurement refresh and exchange/barrier pricing
-// serially in the exact serial order — cycle-exact and byte-identical in
-// traces, results and checkpoints.
-func (rr *rebalanceRun) advanceWindowed(from, to int) {
-	n, out, p := rr.n, rr.out, rr.p
-	pr := rr.pr
-	if pr != nil && pr.buf == nil {
-		pr.enableBuffer(n, rr.iters)
-	}
-	k := rr.cfg.depth()
-	lb := rr.net.BarrierCycles()
-	sb := rr.cfg.NMP.SyncBarrierCycles
-	var gnow sim.Cycle
-	if pr != nil {
-		gnow = pr.bspStart(rr.compute, rr.exchange, from, rr.iters, lb, sb)
-	}
+// over the network (straggler -> new owner); then shard each iteration
+// under the current table, step every engine, price the superstep and
+// refresh the measurement state the next migration decision reads. The
+// table is frozen between migrations, so a chunk of iterations up to the
+// next migration point is sharded and pre-stepped at once.
+func (rr *rebalanceRun) advance(to int) {
+	k := rr.chunk()
 	halos := make([][][]int64, 0, k)
-	for it := from; it < to; {
-		if it > 0 && it%p.Every == 0 && n > 1 {
-			gnow = rr.migrateAt(it, gnow)
+	for it := rr.next; it < to; {
+		if it > 0 && it%rr.p.Every == 0 && rr.n > 1 {
+			rr.migrateAt(it)
 		}
-		// Window: up to k iterations, never crossing the next migration
-		// boundary (a migration re-reads the measurements the drain below
-		// refreshes, and rewrites the table the shard feed reads).
-		hi := it + k
-		if next := (it/p.Every + 1) * p.Every; next < hi {
-			hi = next
-		}
-		if hi > to {
-			hi = to
-		}
+		end := min(it+k, (it/rr.p.Every+1)*rr.p.Every, to)
 		halos = halos[:0]
-		for j := it; j < hi; j++ {
+		for j := it; j < end; j++ {
 			halos = append(halos, rr.shard(j))
 		}
-		par.ForIdx(n, rr.cfg.Workers, func(i int) {
-			e := rr.engines[i]
-			for j := it; j < hi; j++ {
-				if pr != nil {
-					pr.beforeStep(i, e)
-				}
-				ti := e.StepIteration(e.NextStart())
-				out.Durations[i][j] = ti.End - ti.Start
-				if pr != nil {
-					pr.afterStep(i, e, ti)
-					pr.bufferStep(i, j)
-				}
-			}
-		})
-		for j := it; j < hi; j++ {
-			var slowest sim.Cycle
-			maxIdx := 0
-			for i := 0; i < n; i++ {
-				rr.lastDur[i] = out.Durations[i][j]
+		rr.prestep(it, end)
+		for j := it; j < end; j++ {
+			rr.superstep(j, halos[j-it])
+			for i := range rr.lastDur {
+				rr.lastDur[i] = rr.durations[i][j]
 				rr.cum[i] += rr.lastDur[i]
-				if rr.lastDur[i] > slowest {
-					slowest = rr.lastDur[i]
-					maxIdx = i
-				}
-			}
-			rr.compute += slowest
-			var hx topo.ExchangeStats
-			if pr != nil {
-				gnow = pr.superstepCompute(j, gnow, rr.lastDur, slowest, true)
-				hx = topo.ExchangeProbed(rr.net, halos[j-it], pr.linkAt(gnow))
-			} else {
-				hx = topo.Exchange(rr.net, halos[j-it])
-			}
-			rr.exchange += hx.Cycles
-			out.ExchangedBytes += hx.TotalBytes
-			if pr != nil {
-				gnow = pr.superstepComm(j, rr.iters, gnow, hx, lb, sb, maxIdx)
 			}
 			rr.refreshWeights(j)
 		}
-		it = hi
+		it = end
 	}
+	rr.next = to
 }
 
 // ownerOf resolves a key under the current ownership table.
@@ -522,31 +372,31 @@ func (rr *rebalanceRun) ownerOf(key dna.Kmer) int {
 	return int(rr.table[rr.p.bucket(key, rr.k1)])
 }
 
-// finish prices the closing barriers and seals the engines.
-func (rr *rebalanceRun) finish() *rebalanceOutcome {
-	out := rr.out
-	linkBarrier, syncBarrier := bspBarriers(rr.net, rr.cfg, rr.iters)
-	out.Phase = PhaseCycles{Compute: rr.compute, Exchange: rr.exchange, Barrier: linkBarrier + syncBarrier}
-	out.LinkBarrier = linkBarrier
-	out.NMP = make([]*nmp.Result, rr.n)
-	for i, e := range rr.engines {
-		out.NMP[i] = e.Result()
+// snapshot records the engines, partial sums, migrated ownership and
+// measurement state on a checkpoint.
+func (rr *rebalanceRun) snapshot(ck *CheckpointState) error {
+	ck.Rebalance = &RebalanceState{
+		Table:         append([]uint16(nil), rr.table...),
+		Cum:           append([]sim.Cycle(nil), rr.cum...),
+		LastDur:       append([]sim.Cycle(nil), rr.lastDur...),
+		Weight:        append([]int64(nil), rr.weight...),
+		LocalTNs:      rr.localTNs,
+		RemoteTNs:     rr.remoteTNs,
+		HaloBytes:     rr.haloBytes,
+		Rebalances:    rr.rebalances,
+		MigratedBytes: rr.migratedBytes,
 	}
-	return out
+	return rr.core.snapshot(ck)
 }
 
-// runRebalanced executes the compaction phase with dynamic ownership:
-// BSP supersteps (the migration decision is itself a global
-// synchronization, so the BSP barrier it needs is already there), with
-// the bucket table re-fit between iterations from the measured per-node
-// busy times, and the moved MacroNodes charged over the network at their
-// traced sizes before the iteration that uses the new placement.
-func runRebalanced(tr *trace.Trace, net topo.Network, cfg Config, p *RebalancePartitioner, pr *probes) (*rebalanceOutcome, error) {
-	rr, err := newRebalanceRun(tr, net, cfg, p)
-	if err != nil {
-		return nil, err
-	}
-	rr.setProbes(pr)
-	rr.advance(0, rr.iters)
-	return rr.finish(), nil
+// finish executes the remaining supersteps (the migration decision is
+// itself a global synchronization, so the BSP barrier it needs is
+// already there) and seals the run.
+func (rr *rebalanceRun) finish(res *Result) *compactOutcome {
+	rr.advance(rr.iters)
+	res.HaloBytes = rr.haloBytes
+	res.RemoteTNFrac = remoteTNFrac(rr.localTNs, rr.remoteTNs)
+	res.Rebalances = rr.rebalances
+	res.MigratedBytes = rr.migratedBytes
+	return rr.outcome()
 }

@@ -1,15 +1,23 @@
 // The distributed compaction runtime: N stepwise per-node NMP engines
-// (nmp.Engine) and the interconnect driven together on one shared
-// internal/sim event timeline, replacing the post-hoc per-phase
-// aggregation the package started with. Two execution disciplines share
-// the machinery:
+// (nmp.Engine) and the interconnect composed on one global timeline.
+// Three drivers run the compaction phase — runtime (static ownership),
+// rebalanceRun (migrating ownership, rebalance.go) and elasticRun
+// (checkpoints and faults, elastic.go) — and all of them are built on
+// the one core below, under one of two disciplines:
 //
 //   - BSP (Config.Overlap == false, the default): every iteration is a
-//     global superstep — all nodes compute, the slowest paces the step,
-//     the iteration's halo exchange runs serially on the links, and a
-//     log-tree barrier plus the NMP runtime's own sync barrier close the
+//     global superstep — all live nodes compute, the slowest paces the
+//     step, the iteration's halo exchange runs serially on the links, and
+//     a log-tree barrier plus the NMP runtime's own sync barrier close the
 //     step. This reproduces the original aggregation model cycle for
-//     cycle (TestGoldenEquivalence pins it).
+//     cycle (TestGoldenEquivalence pins it). Each driver has exactly one
+//     BSP loop: pre-step a chunk of iterations on the worker pool
+//     (core.prestep), then price each superstep of the chunk in order
+//     from the recorded durations (core.superstep). Supersteps are
+//     barrier-synchronized, so every iteration boundary is a horizon and
+//     the chunk length is free: core.chunk is Config.PrestepDepth with a
+//     real worker pool on a multi-node machine and 1 otherwise, the
+//     superstep-at-a-time reference order.
 //   - Overlapped (Config.Overlap == true): a node that finishes iteration
 //     i immediately streams its outgoing halo bytes while lagging nodes
 //     are still computing, and only the dependent work waits — node j may
@@ -17,14 +25,17 @@
 //     the local sync barrier and (b) every iteration-i halo message
 //     destined to j has been delivered. There is no global barrier; halo
 //     messages route hop-by-hop through the same contended topology links
-//     (topo.Flight) that price topo.Exchange.
+//     (topo.Flight) that price topo.Exchange. One segment scheduler
+//     (core.overlap, runtime_parallel.go) builds this event schedule for
+//     both the runtime (one segment over the whole phase) and the elastic
+//     runtime (one segment per checkpoint interval).
 //
 // In both modes each engine advances on its local back-to-back clock
 // (identical to nmp.Simulate), so per-iteration durations — and therefore
-// every per-node Result — are identical across modes; the modes differ
-// only in how those durations and the halo traffic compose on the global
-// timeline. That makes the BSP/overlap comparison exact: same compute,
-// different schedule.
+// every per-node Result — are identical across modes and across worker
+// counts; the modes differ only in how those durations and the halo
+// traffic compose on the global timeline. That makes the BSP/overlap
+// comparison exact: same compute, different schedule.
 package scaleout
 
 import (
@@ -33,6 +44,7 @@ import (
 	"nmppak/internal/sim"
 	"nmppak/internal/telemetry"
 	"nmppak/internal/topo"
+	"nmppak/internal/trace"
 )
 
 // compactOutcome is the compaction phase as scheduled by the runtime.
@@ -45,423 +57,326 @@ type compactOutcome struct {
 	Durations [][]sim.Cycle
 }
 
-// runtime owns the per-node engines and the shard schedule. A fresh
-// runtime starts at iteration 0; one reconstructed from a checkpoint
-// (resumeRuntime, checkpoint.go) carries the recorded durations and BSP partial sums
-// of the iterations already executed and steps its engines only from
-// `start` on.
-type runtime struct {
-	cfg   Config
-	st    *ShardedTrace
-	net   topo.Network
-	n     int
-	iters int
-	start int // first iteration the engines step live
+// core is the state and machinery every compaction driver shares: the
+// per-node engines with their recorded durations, the telemetry glue, and
+// the phase clock. Accounting invariant: compute + exchange + barrier is
+// the compaction-phase clock at every iteration boundary — halo exchanges
+// and migrations in exchange, link and sync barriers (and the elastic
+// runtime's protocol stalls) in barrier, with the barrier bucket's
+// interconnect share tracked in linkBarrier.
+type core struct {
+	cfg      Config
+	net      topo.Network
+	n, iters int
+	next     int // first iteration not yet executed
 
 	engines   []*nmp.Engine
-	durations [][]sim.Cycle
+	durations [][]sim.Cycle // durations[i][it]: node i's compute time for it
+	live      []bool        // nil: every node is live
 
-	// Parallel (conservative-PDES) execution state, zero on the serial
-	// path: windowed marks the run, stepped is the first iteration the
-	// window driver has NOT yet pre-stepped (uniform across nodes — the
-	// synchronous protocol advances every node one iteration per round).
+	compute, exchange, barrier sim.Cycle
+	linkBarrier                sim.Cycle
+	exchangedBytes             int64
+
+	// Overlapped window-driver state: windowed reports that the window
+	// driver runs the current segment, stepped is the first iteration it
+	// has NOT yet pre-stepped.
 	windowed bool
 	stepped  int
 
-	// BSP partial sums over iterations [0, start) (zero for fresh runs;
-	// bspAdvance accumulates into them).
-	compute        sim.Cycle
-	exchange       sim.Cycle
-	exchangedBytes int64
-
+	durs []sim.Cycle // superstep scratch
 	// pr is the run's telemetry glue; nil disables every recording site.
 	pr *probes
 }
 
-// setProbes attaches (or, with nil, skips) the run's telemetry glue.
-func (rt *runtime) setProbes(pr *probes) {
-	rt.pr = pr
-	if pr != nil {
-		pr.attach(rt.engines)
-	}
-}
-
-func newRuntime(st *ShardedTrace, net topo.Network, cfg Config) (*runtime, error) {
-	rt := &runtime{
-		cfg:       cfg,
-		st:        st,
-		net:       net,
-		n:         cfg.Nodes,
-		iters:     len(st.Traces[0].Iterations),
+func newCore(cfg Config, net topo.Network, iters int) core {
+	c := core{
+		cfg: cfg, net: net, n: cfg.Nodes, iters: iters,
 		engines:   make([]*nmp.Engine, cfg.Nodes),
 		durations: make([][]sim.Cycle, cfg.Nodes),
+		durs:      make([]sim.Cycle, cfg.Nodes),
 	}
-	for i := range rt.engines {
-		e, err := nmp.NewEngine(st.Traces[i], cfg.NMP)
-		if err != nil {
-			return nil, err
-		}
-		rt.engines[i] = e
-		rt.durations[i] = make([]sim.Cycle, len(st.Traces[0].Iterations))
+	for i := range c.durations {
+		c.durations[i] = make([]sim.Cycle, iters)
 	}
-	return rt, nil
+	return c
 }
 
-// step advances node i by one iteration on its local clock and records the
-// duration. The overlapped scheduler calls this lazily from inside global
-// events — serially, unlike runBSP's per-superstep fan-out — which is what
-// lets interconnect events interleave with engine stepping on one
-// timeline; the replay is a small share of Simulate's wall-clock (the
-// software phases dominate), so the lost fan-out is not measurable in the
-// ScaleOut8x benchmarks.
-func (rt *runtime) step(i int) sim.Cycle {
-	e := rt.engines[i]
+// loadEngines (re)builds every node's engine over its trace: fresh at
+// iteration 0 when ck is nil, otherwise restored from the blob's engine
+// snapshot together with the recorded durations and resume point.
+func (c *core) loadEngines(traces []*trace.Trace, ck *CheckpointState) error {
+	for i := range c.engines {
+		var e *nmp.Engine
+		var err error
+		clear(c.durations[i])
+		if ck == nil {
+			e, err = nmp.NewEngine(traces[i], c.cfg.NMP)
+		} else {
+			e, err = nmp.ResumeEngine(traces[i], c.cfg.NMP, ck.Engines[i])
+			copy(c.durations[i], ck.Durations[i])
+		}
+		if err != nil {
+			return err
+		}
+		c.engines[i] = e
+	}
+	c.next = 0
+	if ck != nil {
+		c.next = ck.ResumeIter
+	}
+	if c.pr != nil {
+		c.pr.attach(c.engines)
+	}
+	return nil
+}
+
+// resumeBSP re-enters a BSP phase at a blob's boundary: the recorded
+// compute/exchange partial sums plus the closing barriers of the
+// supersteps already executed (which depend only on their count).
+func (c *core) resumeBSP(ck *CheckpointState) {
+	c.compute, c.exchange = ck.Compute, ck.Exchange
+	c.exchangedBytes = ck.CompactExchangedBytes
+	if crossed := min(ck.ResumeIter, c.iters-1); crossed > 0 {
+		lb := c.net.BarrierCycles()
+		c.linkBarrier = sim.Cycle(crossed) * lb
+		c.barrier = sim.Cycle(crossed) * (lb + c.cfg.NMP.SyncBarrierCycles)
+	}
+}
+
+// setProbes attaches (or, with nil, skips) the run's telemetry glue.
+func (c *core) setProbes(pr *probes) {
+	c.pr = pr
+	if pr != nil {
+		pr.attach(c.engines)
+		if pr.buf == nil {
+			pr.enableBuffer(c.n, c.iters)
+		}
+	}
+}
+
+func (c *core) isLive(i int) bool { return c.live == nil || c.live[i] }
+
+// now is the compaction-phase clock.
+func (c *core) now() sim.Cycle { return c.compute + c.exchange + c.barrier }
+
+// chunk is how many supersteps a BSP loop pre-steps at once: the
+// pre-step depth when a worker pool can spread a multi-node machine's
+// engines, otherwise 1 — superstep-at-a-time, the reference order.
+func (c *core) chunk() int {
+	if par.Threads(c.cfg.Workers) > 1 && c.n > 1 {
+		return c.cfg.depth()
+	}
+	return 1
+}
+
+// step advances node i by one iteration on its local clock, records the
+// duration and buffers the step's telemetry for later placement.
+func (c *core) step(i int) {
+	e := c.engines[i]
 	it := e.Next()
-	if rt.pr != nil {
-		rt.pr.beforeStep(i, e)
+	if c.pr != nil {
+		c.pr.beforeStep(i, it, e)
 	}
 	ti := e.StepIteration(e.NextStart())
-	d := ti.End - ti.Start
-	rt.durations[i][it] = d
-	if rt.pr != nil {
-		rt.pr.afterStep(i, e, ti)
+	c.durations[i][it] = ti.End - ti.Start
+	if c.pr != nil {
+		c.pr.afterStep(i, it, e, ti)
 	}
-	return d
 }
 
-// run executes the compaction phase under the configured discipline. An
-// overlapped run takes the conservative-PDES parallel path when the
-// machine and host shape support it (see parallelOK); BSP advancement
-// takes the windowed chunked path under the same worker-pool condition
-// (see bspParallelOK, inside bspAdvance).
-func (rt *runtime) run() *compactOutcome {
-	var out *compactOutcome
-	if rt.cfg.Overlap {
-		if rt.parallelOK() {
-			out = rt.runOverlappedParallel()
-		} else {
-			out = rt.runOverlapped()
+// prestep runs every live engine through iterations [from, to) on the
+// worker pool. Each worker owns node i exclusively, so the engine, its
+// duration row, its DRAM tracks and its step buffer stay single-writer.
+func (c *core) prestep(from, to int) {
+	par.ForIdx(c.n, c.cfg.Workers, func(i int) {
+		if c.isLive(i) {
+			for it := from; it < to; it++ {
+				c.step(i)
+			}
 		}
-	} else {
-		out = rt.runBSP()
+	})
+}
+
+// exchangeNow prices one all-to-all at the current phase clock.
+func (c *core) exchangeNow(b [][]int64) topo.ExchangeStats {
+	if c.pr != nil {
+		return topo.ExchangeProbed(c.net, b, c.pr.linkAt(c.pr.base+c.now()))
 	}
-	out.Durations = rt.durations
-	out.NMP = make([]*nmp.Result, rt.n)
-	for i, e := range rt.engines {
+	return topo.Exchange(c.net, b)
+}
+
+// stall charges a d-cycle whole-machine wait to bucket and records it on
+// the runtime track and every live node track.
+func (c *core) stall(kind telemetry.SpanKind, it int, d sim.Cycle, bytes int64, bucket *sim.Cycle) {
+	if d <= 0 {
+		return
+	}
+	if c.pr != nil {
+		c.pr.stall(kind, it, c.pr.base+c.now(), d, bytes, c.live)
+	}
+	*bucket += d
+}
+
+// barriers charges the link and sync barriers that close superstep it.
+func (c *core) barriers(it int) {
+	lb := c.net.BarrierCycles()
+	c.stall(telemetry.SpanLinkBarrier, it, lb, 0, &c.barrier)
+	c.linkBarrier += lb
+	c.stall(telemetry.SpanSyncBarrier, it, c.cfg.NMP.SyncBarrierCycles, 0, &c.barrier)
+}
+
+// superstep prices iteration it as a BSP superstep from the recorded
+// durations: the slowest live node paces the compute, the halo exchange
+// runs on the network, and — between supersteps — the barrier pair
+// closes the step, gating every live node's next iteration on the
+// slowest one.
+func (c *core) superstep(it int, halo [][]int64) {
+	var slowest sim.Cycle
+	maxIdx := 0
+	for i := range c.durs {
+		c.durs[i] = 0
+		if c.isLive(i) {
+			c.durs[i] = c.durations[i][it]
+		}
+		if c.durs[i] > slowest {
+			slowest, maxIdx = c.durs[i], i
+		}
+	}
+	if c.pr != nil {
+		c.pr.superstepCompute(it, c.pr.base+c.now(), c.durs, slowest, c.live)
+	}
+	c.compute += slowest
+	hx := c.exchangeNow(halo)
+	c.exchangedBytes += hx.TotalBytes
+	c.stall(telemetry.SpanExchangeWait, it, hx.Cycles, hx.TotalBytes, &c.exchange)
+	if it+1 < c.iters {
+		c.barriers(it)
+		if c.pr != nil {
+			for i := 0; i < c.n; i++ {
+				if c.isLive(i) {
+					c.pr.c.AddDep(i, it+1, telemetry.BoundBarrier, maxIdx)
+				}
+			}
+		}
+	}
+}
+
+// snapshot records the executed durations, the engine snapshots and the
+// BSP partial sums on a checkpoint.
+func (c *core) snapshot(ck *CheckpointState) error {
+	ck.Compute, ck.Exchange = c.compute, c.exchange
+	ck.CompactExchangedBytes = c.exchangedBytes
+	return snapshotInto(ck, c.durations, c.engines)
+}
+
+// outcome seals the engines and reports the phase as accounted so far.
+func (c *core) outcome() *compactOutcome {
+	out := &compactOutcome{
+		Phase:          PhaseCycles{Compute: c.compute, Exchange: c.exchange, Barrier: c.barrier},
+		LinkBarrier:    c.linkBarrier,
+		ExchangedBytes: c.exchangedBytes,
+		Durations:      c.durations,
+		NMP:            make([]*nmp.Result, c.n),
+	}
+	for i, e := range c.engines {
 		out.NMP[i] = e.Result()
 	}
 	return out
 }
 
-// bspAdvance drives the engines superstep by superstep through iterations
-// [from, to): all nodes step iteration it (concurrently — the engines are
-// independent), the slowest node paces the step, then the iteration's halo
-// exchange is appended serially, exactly as the original aggregation loop
-// priced them. The partial sums accumulate on the runtime so a run can be
-// split at any iteration boundary — runBSP finishes the whole trace, the
-// checkpoint capture stops mid-way and snapshots. With a real worker pool
-// the windowed variant (runtime_parallel.go) pre-steps whole chunks of
-// supersteps and drains their pricing serially — cycle-exact either way.
-func (rt *runtime) bspAdvance(from, to int) {
-	if rt.bspParallelOK(from, to) {
-		rt.bspAdvanceWindowed(from, to)
+// driver is a fixed-membership compaction runtime — runtime or
+// rebalanceRun — as Simulate, Checkpoint, Restore and Session drive it:
+// advanced boundary by boundary, snapshotted at any boundary, finished
+// into a Result.
+type driver interface {
+	base() *core
+	setProbes(pr *probes)
+	// advance executes iterations [next, to).
+	advance(to int)
+	snapshot(ck *CheckpointState) error
+	// finish executes the remaining iterations, records the run's
+	// traffic accounting on res and returns the sealed outcome.
+	finish(res *Result) *compactOutcome
+}
+
+func (c *core) base() *core { return c }
+
+// newDriver builds the fixed-membership runtime cfg selects, at
+// iteration 0 — or, with a non-nil ck, at the blob's pause point.
+func newDriver(tr *trace.Trace, net topo.Network, cfg Config, ck *CheckpointState) (driver, error) {
+	if rp, ok := cfg.Partitioner.(*RebalancePartitioner); ok {
+		rr, err := newRebalanceRun(tr, net, cfg, rp, ck)
+		if err != nil {
+			return nil, err
+		}
+		return rr, nil
+	}
+	rt, err := newRuntime(ShardTrace(tr, cfg.Nodes, cfg.Partitioner), net, cfg, ck)
+	if err != nil {
+		return nil, err
+	}
+	return rt, nil
+}
+
+// runtime is the static-ownership driver: the shard schedule is fixed up
+// front (ShardTrace), so the halo matrices are too.
+type runtime struct {
+	core
+	st *ShardedTrace
+}
+
+// newRuntime builds the runtime at iteration 0, or at a checkpoint's
+// pause point with restored engines and recorded durations — plus, for
+// BSP, the partial sums. An overlapped restore replays its whole
+// macro-schedule from the recorded durations instead.
+func newRuntime(st *ShardedTrace, net topo.Network, cfg Config, ck *CheckpointState) (*runtime, error) {
+	rt := &runtime{core: newCore(cfg, net, len(st.Traces[0].Iterations)), st: st}
+	if err := rt.loadEngines(st.Traces, ck); err != nil {
+		return nil, err
+	}
+	if ck != nil && !cfg.Overlap {
+		rt.resumeBSP(ck)
+	}
+	return rt, nil
+}
+
+// advance executes iterations [next, to). An overlapped run only steps
+// the engines here (a checkpoint capture): its restore rebuilds the
+// event-driven schedule from the halo matrices and the recorded
+// durations, so pricing BSP exchanges would be discarded work.
+func (rt *runtime) advance(to int) {
+	if rt.cfg.Overlap {
+		rt.prestep(rt.next, to)
+		rt.next = to
 		return
 	}
-	pr := rt.pr
-	lb := rt.net.BarrierCycles()
-	sb := rt.cfg.NMP.SyncBarrierCycles
-	var gnow sim.Cycle
-	if pr != nil {
-		gnow = pr.bspStart(rt.compute, rt.exchange, from, rt.iters, lb, sb)
-	}
-	for it := from; it < to; it++ {
-		slowest := make([]sim.Cycle, rt.n)
-		par.ForIdx(rt.n, rt.cfg.Workers, func(i int) {
-			slowest[i] = rt.step(i)
-		})
-		var max sim.Cycle
-		maxIdx := 0
-		for i, d := range slowest {
-			if d > max {
-				max = d
-				maxIdx = i
-			}
-		}
-		rt.compute += max
-		var hx topo.ExchangeStats
-		if pr != nil {
-			gnow = pr.superstepCompute(it, gnow, slowest, max, false)
-			hx = topo.ExchangeProbed(rt.net, rt.st.Halo[it], pr.linkAt(gnow))
-		} else {
-			hx = topo.Exchange(rt.net, rt.st.Halo[it])
-		}
-		rt.exchange += hx.Cycles
-		rt.exchangedBytes += hx.TotalBytes
-		if pr != nil {
-			gnow = pr.superstepComm(it, rt.iters, gnow, hx, lb, sb, maxIdx)
+	k := rt.chunk()
+	for it := rt.next; it < to; it += k {
+		end := min(it+k, to)
+		rt.prestep(it, end)
+		for j := it; j < end; j++ {
+			rt.superstep(j, rt.st.Halo[j])
 		}
 	}
+	rt.next = to
 }
 
-// stepAdvance steps every engine through iterations [from, to) without
-// pricing the per-iteration BSP exchanges. The overlap-discipline
-// checkpoint capture uses it: an overlapped restore rebuilds its own
-// event-driven schedule (and ExchangedBytes) from the halo matrix and
-// never reads the BSP partial sums, so simulating the exchanges during
-// capture would be discarded work. Probes are never attached on this
-// path, so each worker can batch its node's whole iteration range.
-func (rt *runtime) stepAdvance(from, to int) {
-	par.ForIdx(rt.n, rt.cfg.Workers, func(i int) {
-		for it := from; it < to; it++ {
-			rt.step(i)
-		}
-	})
+// run completes the compaction phase under the configured discipline.
+// The overlapped schedule is one segment over the whole phase that
+// replays the iterations a restore already holds durations for.
+func (rt *runtime) run() *compactOutcome {
+	if rt.cfg.Overlap {
+		rt.commit(rt.overlap(0, rt.iters, rt.st.Halo, 0, rt.next), -1)
+		rt.next = rt.iters
+	} else {
+		rt.advance(rt.iters)
+	}
+	return rt.outcome()
 }
 
-// runBSP completes the BSP discipline from the runtime's start iteration
-// and prices the closing barriers (which depend only on the total
-// iteration count, so a restored run reproduces them exactly).
-func (rt *runtime) runBSP() *compactOutcome {
-	rt.bspAdvance(rt.start, rt.iters)
-	out := &compactOutcome{ExchangedBytes: rt.exchangedBytes}
-	linkBarrier, syncBarrier := bspBarriers(rt.net, rt.cfg, rt.iters)
-	out.Phase = PhaseCycles{Compute: rt.compute, Exchange: rt.exchange, Barrier: linkBarrier + syncBarrier}
-	out.LinkBarrier = linkBarrier
-	return out
-}
-
-// bspBarriers prices the closing barriers of a BSP compaction phase:
-// iters-1 interconnect log-tree barriers and as many NMP-runtime sync
-// barriers between consecutive supersteps. Shared by runBSP and the
-// rebalancing runtime (rebalance.go), whose supersteps must stay priced
-// identically for the partitioner comparisons to mean anything.
-func bspBarriers(net topo.Network, cfg Config, iters int) (link, sync sim.Cycle) {
-	if iters > 1 {
-		link = sim.Cycle(iters-1) * net.BarrierCycles()
-		sync = sim.Cycle(iters-1) * cfg.NMP.SyncBarrierCycles
-	}
-	return link, sync
-}
-
-// ovNode is one node's overlap-mode scheduling state on the global
-// timeline (link occupancy lives in the shared topo.Flight).
-type ovNode struct {
-	// pendingIn[it] counts halo messages of iteration it still in flight
-	// toward this node.
-	pendingIn []int
-	// readyAt is when the node's own compute-side constraint for its next
-	// iteration is satisfied (previous end + sync barrier).
-	readyAt sim.Cycle
-	// finished[it] is set once the node's iteration it has completed.
-	finished []bool
-	started  []bool
-}
-
-// runOverlapped schedules the same per-node iteration durations
-// event-driven: finishing nodes stream their halo bytes while laggards
-// compute, and each node's next iteration waits only on its own finish
-// (plus sync barrier) and on the delivery of the halo traffic it depends
-// on. The phase is split as Compute = the slowest node's unconstrained
-// local chain (what a zero-cost interconnect would yield) and Exchange =
-// the communication time the schedule failed to hide.
-func (rt *runtime) runOverlapped() *compactOutcome {
-	return rt.runOverlappedWith(nil)
-}
-
-// runOverlappedWith is runOverlapped with an optional window driver: when
-// windows is non-nil it is handed the global engine after the iteration-0
-// events are seeded and owns the interleaving of engine pre-stepping with
-// bounded event-loop advancement (runtime_parallel.go); the closing Run
-// drains whatever the driver left pending. The macro schedule — every
-// event closure, in creation order — is byte-for-byte the serial one
-// either way, which is what makes the parallel mode cycle-exact: the
-// event kernel orders ties by sequence number, and identical closure
-// creation order means identical sequence numbers.
-func (rt *runtime) runOverlappedWith(windows func(g *sim.Engine)) *compactOutcome {
-	out := &compactOutcome{}
-	n, iters := rt.n, rt.iters
-	if iters == 0 {
-		return out
-	}
-	pr := rt.pr
-	sb := rt.cfg.NMP.SyncBarrierCycles
-	// lastEnd[i] is node i's last iteration end on the compaction-phase
-	// clock (global minus pr.base), for the gap spans between iterations.
-	lastEnd := make([]sim.Cycle, n)
-	g := &sim.Engine{}
-	if pr != nil {
-		g.SetProbe(&pr.loop)
-	}
-	nodes := make([]*ovNode, n)
-	for i := range nodes {
-		nodes[i] = &ovNode{
-			pendingIn: make([]int, iters),
-			finished:  make([]bool, iters),
-			started:   make([]bool, iters),
-		}
-	}
-	for it := 0; it < iters; it++ {
-		for src := 0; src < n; src++ {
-			for dst := 0; dst < n; dst++ {
-				if dst != src && rt.st.Halo[it][src][dst] > 0 {
-					nodes[dst].pendingIn[it]++
-					out.ExchangedBytes += rt.st.Halo[it][src][dst]
-				}
-			}
-		}
-	}
-	fl := topo.NewFlight(rt.net, g)
-	if pr != nil {
-		fl.SetProbe(&topo.Probe{Links: pr.links, Offset: pr.base})
-	}
-	var makespan sim.Cycle
-	note := func(t sim.Cycle) {
-		if t > makespan {
-			makespan = t
-		}
-	}
-
-	var begin func(i, it int, at sim.Cycle)
-	// tryStart launches node i's iteration it once both its compute-side
-	// and delivery-side dependencies have resolved; the triggering event
-	// supplies the later of the two times. src is the halo sender when a
-	// delivery triggered the call, -1 when the node's own finish did.
-	tryStart := func(i, it, src int) {
-		nd := nodes[i]
-		if it >= iters || nd.started[it] || !nd.finished[it-1] || nd.pendingIn[it-1] > 0 {
-			return
-		}
-		nd.started[it] = true
-		at := nd.readyAt
-		bound := telemetry.BoundSync
-		if now := g.Now(); now > at {
-			at = now
-			if src >= 0 {
-				// The last constraint to resolve was a halo delivery that
-				// landed after the node's own compute-side readiness: the
-				// interconnect bounded this iteration.
-				bound = telemetry.BoundDelivery
-			}
-		}
-		if pr != nil {
-			s := src
-			if bound != telemetry.BoundDelivery {
-				s = -1
-			}
-			pr.c.AddDep(i, it, bound, s)
-		}
-		begin(i, it, at)
-	}
-	finish := func(i, it int) {
-		nd := nodes[i]
-		now := g.Now()
-		nd.finished[it] = true
-		note(now)
-		// Stream this iteration's outgoing halo through the topology: the
-		// Flight reserves the first route link immediately (the sender's
-		// serializing injection port) and store-and-forwards through every
-		// contended downstream link, the same occupancy discipline
-		// topo.Exchange uses.
-		for off := 1; off < n; off++ {
-			dst := (i + off) % n
-			b := rt.st.Halo[it][i][dst]
-			if b <= 0 {
-				continue
-			}
-			d := dst
-			fl.Send(i, d, b, func() {
-				note(g.Now())
-				nodes[d].pendingIn[it]--
-				tryStart(d, it+1, i)
-			})
-		}
-		if it+1 < iters {
-			nd.readyAt = now + sb
-			tryStart(i, it+1, -1)
-		}
-	}
-	begin = func(i, it int, at sim.Cycle) {
-		g.At(at, func() {
-			// The gap since the node's previous iteration decomposes into
-			// the sync barrier and, past it, the halo-delivery wait (the
-			// start is never earlier than readyAt = previous end + sb).
-			if pr != nil && it > 0 {
-				e0 := lastEnd[i]
-				if sb > 0 {
-					pr.node[i].Add(telemetry.SpanSyncBarrier, pr.base+e0, pr.base+e0+sb, int64(it), 0)
-				}
-				if at > e0+sb {
-					pr.node[i].Add(telemetry.SpanDeliveryWait, pr.base+e0+sb, pr.base+at, int64(it), 0)
-				}
-			}
-			// A restored run replays the recorded duration of an already-
-			// executed iteration instead of re-stepping the engine: the
-			// global schedule is a deterministic function of (durations,
-			// halo, topology), so replaying the macro-schedule with the
-			// checkpointed durations reproduces the uninterrupted timeline
-			// exactly while skipping the engine micro-simulation. A
-			// windowed (parallel) run extends the same replay idea to live
-			// iterations: the window driver pre-steps the engines in
-			// parallel, so by the time an iteration begins here its
-			// duration is already recorded and its telemetry buffered.
-			var d sim.Cycle
-			switch {
-			case it < rt.start:
-				d = rt.durations[i][it]
-				if pr != nil {
-					pr.placeReplayed(i, it, pr.base+at, d)
-				}
-			case it < rt.stepped:
-				d = rt.durations[i][it]
-				if pr != nil {
-					pr.placeBuffered(i, it, pr.base+at)
-				}
-			default:
-				if rt.windowed {
-					// The lookahead bound admitted an event it must
-					// exclude — a conservative-PDES protocol violation,
-					// never a recoverable condition.
-					panic("scaleout: parallel runtime reached an un-stepped iteration")
-				}
-				d = rt.step(i)
-				if pr != nil {
-					pr.placeIter(i, it, pr.base+at)
-				}
-			}
-			lastEnd[i] = at + d
-			g.After(d, func() { finish(i, it) })
-		})
-	}
-	for i := 0; i < n; i++ {
-		nodes[i].started[0] = true
-		begin(i, 0, 0)
-	}
-	if windows != nil {
-		windows(g)
-	}
-	g.Run()
-
-	// The unconstrained local chains are what a free interconnect would
-	// run; anything beyond the slowest of them is exposed communication.
-	var compute sim.Cycle
-	for _, e := range rt.engines {
-		if e.Now() > compute {
-			compute = e.Now()
-		}
-	}
-	if pr != nil {
-		for i := 0; i < n; i++ {
-			if lastEnd[i] < makespan {
-				pr.node[i].Add(telemetry.SpanIdle, pr.base+lastEnd[i], pr.base+makespan, int64(iters-1), 0)
-			}
-		}
-		if compute > 0 {
-			pr.phases.Add(telemetry.SpanCompute, pr.base, pr.base+compute, -1, 0)
-		}
-		if makespan > compute {
-			pr.phases.Add(telemetry.SpanExchangeWait, pr.base+compute, pr.base+makespan, -1, out.ExchangedBytes)
-		}
-	}
-	out.Phase = PhaseCycles{Compute: compute, Exchange: makespan - compute, Barrier: 0}
-	return out
+func (rt *runtime) finish(res *Result) *compactOutcome {
+	res.HaloBytes = rt.st.HaloBytes
+	res.RemoteTNFrac = rt.st.RemoteTNFrac()
+	return rt.run()
 }

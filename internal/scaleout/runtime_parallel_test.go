@@ -16,51 +16,56 @@ func parTestRuntime(t *testing.T, cfg Config, tr *ShardedTrace) *runtime {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := newRuntime(tr, net, cfg)
+	rt, err := newRuntime(tr, net, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return rt
 }
 
-// TestParallelGate pins when the conservative-PDES path engages: a
-// multi-node run with more than one effective worker takes it — windowed
-// chunked supersteps for BSP, the lookahead window protocol for overlap —
-// while Workers==1 and single-node machines fall back to the serial
-// scheduler. The windowed flag doubles as the witness that the parallel
-// driver actually ran (it trips the protocol panic if the serial path
-// were to re-enter stepping).
+// TestParallelGate pins when pre-stepping engages: with more than one
+// effective worker on a multi-node machine, a BSP loop pre-steps
+// PrestepDepth supersteps per chunk and an overlapped run takes the
+// window driver; with Workers=1 or a single node, BSP advances one
+// superstep per chunk and the overlapped schedule takes the lazy
+// reference branch. The windowed flag doubles as the witness that the
+// window driver actually ran (it trips the protocol panic if the lazy
+// branch were to re-enter stepping).
 func TestParallelGate(t *testing.T) {
 	reads := testReads(t, 12_000)
 	tr := testTrace(t, reads, 32, 3)
+	const depth = 3
 
-	run := func(nodes, workers int, overlap bool) *runtime {
-		cfg := DefaultConfig(nodes)
-		cfg.Overlap = overlap
-		cfg.Workers = workers
-		st := ShardTrace(tr, nodes, cfg.Partitioner)
+	for _, tc := range []struct {
+		nodes, workers int
+		parallel       bool
+	}{
+		{4, 4, true},
+		{4, 1, false},
+		{1, 4, false},
+	} {
+		cfg := DefaultConfig(tc.nodes)
+		cfg.Workers = tc.workers
+		cfg.PrestepDepth = depth
+		st := ShardTrace(tr, tc.nodes, cfg.Partitioner)
+
+		want := 1
+		if tc.parallel {
+			want = depth
+		}
 		rt := parTestRuntime(t, cfg, st)
+		if got := rt.chunk(); got != want {
+			t.Errorf("BSP/%d nodes/%d workers: chunk %d, want %d", tc.nodes, tc.workers, got, want)
+		}
 		rt.run()
-		return rt
-	}
 
-	if rt := run(4, 4, true); !rt.windowed {
-		t.Error("overlap/4 nodes/4 workers: serial path taken, want parallel")
-	}
-	if rt := run(4, 1, true); rt.windowed {
-		t.Error("Workers=1: parallel path taken, want serial fallback")
-	}
-	if rt := run(1, 4, true); rt.windowed {
-		t.Error("single node: parallel path taken, want serial fallback")
-	}
-	if rt := run(4, 4, false); !rt.windowed {
-		t.Error("BSP/4 nodes/4 workers: serial supersteps taken, want windowed chunks")
-	}
-	if rt := run(4, 1, false); rt.windowed {
-		t.Error("BSP Workers=1: windowed path taken, want serial fallback")
-	}
-	if rt := run(1, 4, false); rt.windowed {
-		t.Error("BSP single node: windowed path taken, want serial fallback")
+		cfg.Overlap = true
+		rt = parTestRuntime(t, cfg, st)
+		rt.run()
+		if rt.windowed != tc.parallel {
+			t.Errorf("overlap/%d nodes/%d workers: window driver ran = %v, want %v",
+				tc.nodes, tc.workers, rt.windowed, tc.parallel)
+		}
 	}
 }
 
@@ -119,8 +124,8 @@ func TestPairLookaheadWidensHorizon(t *testing.T) {
 					le[i] = lb[i] + rt.durations[i][r]
 					lb[i] = le[i] + sb
 				}
-				hp := rt.horizon(r, pair, lb, le)
-				hf := rt.horizon(r, flat, lb, le)
+				hp := horizon(rt.st.Halo[r], nil, pair, lb, le)
+				hf := horizon(rt.st.Halo[r], nil, flat, lb, le)
 				if hp < hf {
 					t.Fatalf("%s: window %d: per-pair horizon %d below flat horizon %d", name, r, hp, hf)
 				}
@@ -199,7 +204,7 @@ func TestParallelOutcomeMatchesSerial(t *testing.T) {
 
 		scfg := cfg
 		scfg.Workers = 1
-		srt, err := newRuntime(st, degrade(), scfg)
+		srt, err := newRuntime(st, degrade(), scfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +212,7 @@ func TestParallelOutcomeMatchesSerial(t *testing.T) {
 
 		pcfg := cfg
 		pcfg.Workers = 4
-		prt, err := newRuntime(st, degrade(), pcfg)
+		prt, err := newRuntime(st, degrade(), pcfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -328,42 +328,17 @@ func Simulate(reads []readsim.Read, tr *trace.Trace, cfg Config) (*Result, error
 	// (rebalance.go), which re-shards between iterations.
 	var co *compactOutcome
 	if cfg.elastic() {
-		eo, err := runElastic(tr, net, cfg, res, pr)
-		if err != nil {
-			return nil, err
-		}
-		co = &eo.compactOutcome
-		res.HaloBytes = eo.HaloBytes
-		res.RemoteTNFrac = remoteTNFrac(eo.LocalTNs, eo.RemoteTNs)
-		res.Checkpoints = eo.Checkpoints
-		res.CheckpointBytes = eo.CheckpointBytes
-		res.CheckpointCycles = eo.CheckpointCycles
-		res.FaultsInjected = eo.FaultsInjected
-		res.NodesLost = eo.NodesLost
-		res.Recoveries = eo.Recoveries
-		res.LostIterations = eo.LostIterations
-		res.RecoveryCycles = eo.RecoveryCycles
-		res.RepartitionBytes = eo.RepartitionBytes
-	} else if rp, ok := cfg.Partitioner.(*RebalancePartitioner); ok {
-		ro, err := runRebalanced(tr, net, cfg, rp, pr)
-		if err != nil {
-			return nil, err
-		}
-		co = &ro.compactOutcome
-		res.HaloBytes = ro.HaloBytes
-		res.RemoteTNFrac = remoteTNFrac(ro.LocalTNs, ro.RemoteTNs)
-		res.Rebalances = ro.Rebalances
-		res.MigratedBytes = ro.MigratedBytes
+		co, err = runElastic(tr, net, cfg, res, pr)
 	} else {
-		st := ShardTrace(tr, cfg.Nodes, cfg.Partitioner)
-		res.HaloBytes = st.HaloBytes
-		res.RemoteTNFrac = st.RemoteTNFrac()
-		rt, err := newRuntime(st, net, cfg)
-		if err != nil {
-			return nil, err
+		var d driver
+		d, err = newDriver(tr, net, cfg, nil)
+		if err == nil {
+			d.setProbes(pr)
+			co = d.finish(res)
 		}
-		rt.setProbes(pr)
-		co = rt.run()
+	}
+	if err != nil {
+		return nil, err
 	}
 	finalize(res, co)
 	if pr != nil {

@@ -32,7 +32,6 @@ package scaleout
 import (
 	"fmt"
 
-	"nmppak/internal/nmp"
 	"nmppak/internal/readsim"
 	"nmppak/internal/sim"
 	"nmppak/internal/topo"
@@ -49,12 +48,8 @@ type Session struct {
 	net topo.Network
 	res *Result // prelude result; finalized by Finish
 
-	rt *runtime      // static-partitioner runtime (nil iff rr != nil)
-	rr *rebalanceRun // dynamic-ownership runtime
-
-	next  int // first unexecuted iteration (the current boundary)
-	iters int
-	done  bool
+	d    driver // the static-partitioner or the rebalancing runtime
+	done bool
 }
 
 // validateSession rejects the configurations a Session cannot time-slice.
@@ -85,22 +80,11 @@ func NewSession(reads []readsim.Read, tr *trace.Trace, cfg Config) (*Session, er
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{tr: tr, cfg: cfg, net: net, res: res, iters: len(tr.Iterations)}
-	if rp, ok := cfg.Partitioner.(*RebalancePartitioner); ok {
-		rr, err := newRebalanceRun(tr, net, cfg, rp)
-		if err != nil {
-			return nil, err
-		}
-		s.rr = rr
-	} else {
-		st := ShardTrace(tr, cfg.Nodes, cfg.Partitioner)
-		rt, err := newRuntime(st, net, cfg)
-		if err != nil {
-			return nil, err
-		}
-		s.rt = rt
+	d, err := newDriver(tr, net, cfg, nil)
+	if err != nil {
+		return nil, err
 	}
-	return s, nil
+	return &Session{tr: tr, cfg: cfg, net: net, res: res, d: d}, nil
 }
 
 // ResumeSession reconstructs a session from a checkpoint blob taken under
@@ -108,56 +92,21 @@ func NewSession(reads []readsim.Read, tr *trace.Trace, cfg Config) (*Session, er
 // Session.Checkpoint — paused at the blob's resume iteration. The reads
 // are not needed: the blob carries the software-phase outcome.
 func ResumeSession(tr *trace.Trace, cfg Config, blob []byte) (*Session, error) {
-	ck, err := UnmarshalCheckpoint(blob)
+	res, d, net, err := resume(tr, cfg, blob, validateSession)
 	if err != nil {
 		return nil, err
 	}
-	net, err := validateRun(tr, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := validateSession(cfg); err != nil {
-		return nil, err
-	}
-	if err := ck.matches(tr, cfg, net); err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Nodes:          cfg.Nodes,
-		Partitioner:    cfg.Partitioner.Name(),
-		Topology:       net.Name(),
-		Count:          ck.Count,
-		Construct:      ck.Construct,
-		PerNode:        append([]NodeStats(nil), ck.PerNode...),
-		ExchangedBytes: ck.PreludeExchangedBytes,
-	}
-	s := &Session{tr: tr, cfg: cfg, net: net, res: res,
-		next: ck.ResumeIter, iters: len(tr.Iterations)}
-	if rp, ok := cfg.Partitioner.(*RebalancePartitioner); ok {
-		rr, err := resumeRebalanceRun(tr, net, cfg, rp, ck)
-		if err != nil {
-			return nil, err
-		}
-		s.rr = rr
-	} else {
-		st := ShardTrace(tr, cfg.Nodes, cfg.Partitioner)
-		rt, err := resumeRuntime(st, net, cfg, ck)
-		if err != nil {
-			return nil, err
-		}
-		s.rt = rt
-	}
-	return s, nil
+	return &Session{tr: tr, cfg: cfg, net: net, res: res, d: d}, nil
 }
 
 // Iterations returns the trace's total compaction iteration count.
-func (s *Session) Iterations() int { return s.iters }
+func (s *Session) Iterations() int { return s.d.base().iters }
 
 // Next returns the current boundary: the first unexecuted iteration.
-func (s *Session) Next() int { return s.next }
+func (s *Session) Next() int { return s.d.base().next }
 
 // Remaining returns how many iterations are still to execute.
-func (s *Session) Remaining() int { return s.iters - s.next }
+func (s *Session) Remaining() int { return s.Iterations() - s.Next() }
 
 // Step advances the run by up to n iterations (fewer if the trace ends
 // first) and returns how many it executed. n <= 0 is a no-op.
@@ -165,21 +114,13 @@ func (s *Session) Step(n int) int {
 	if s.done || n <= 0 {
 		return 0
 	}
-	to := s.next + n
-	if to > s.iters {
-		to = s.iters
-	}
-	if to <= s.next {
+	from := s.Next()
+	to := min(from+n, s.Iterations())
+	if to <= from {
 		return 0
 	}
-	if s.rr != nil {
-		s.rr.advance(s.next, to)
-	} else {
-		s.rt.bspAdvance(s.next, to)
-	}
-	executed := to - s.next
-	s.next = to
-	return executed
+	s.d.advance(to)
+	return to - from
 }
 
 // Progress returns the run's cumulative machine cycles at the current
@@ -188,22 +129,7 @@ func (s *Session) Step(n int) int {
 // already crossed. At the final boundary this equals the finished
 // Result.TotalCycles.
 func (s *Session) Progress() sim.Cycle {
-	base := s.res.Count.Total() + s.res.Construct.Total()
-	var compute, exchange sim.Cycle
-	if s.rr != nil {
-		compute, exchange = s.rr.compute, s.rr.exchange
-	} else {
-		compute, exchange = s.rt.compute, s.rt.exchange
-	}
-	crossed := s.next
-	if m := s.iters - 1; crossed > m {
-		crossed = m
-	}
-	if crossed < 0 {
-		crossed = 0
-	}
-	return base + compute + exchange +
-		sim.Cycle(crossed)*(s.net.BarrierCycles()+s.cfg.NMP.SyncBarrierCycles)
+	return s.res.Count.Total() + s.res.Construct.Total() + s.d.base().now()
 }
 
 // Checkpoint exports the session's state at the current boundary as a
@@ -214,32 +140,7 @@ func (s *Session) Checkpoint() ([]byte, error) {
 	if s.done {
 		return nil, fmt.Errorf("scaleout: Session already finished")
 	}
-	ck := checkpointHeader(s.cfg, s.net, s.tr, s.res, s.next)
-	if s.rr != nil {
-		ck.Compute, ck.Exchange = s.rr.compute, s.rr.exchange
-		ck.CompactExchangedBytes = s.rr.out.ExchangedBytes
-		ck.Rebalance = &RebalanceState{
-			Table:         append([]uint16(nil), s.rr.table...),
-			Cum:           append([]sim.Cycle(nil), s.rr.cum...),
-			LastDur:       append([]sim.Cycle(nil), s.rr.lastDur...),
-			Weight:        append([]int64(nil), s.rr.weight...),
-			LocalTNs:      s.rr.out.LocalTNs,
-			RemoteTNs:     s.rr.out.RemoteTNs,
-			HaloBytes:     s.rr.out.HaloBytes,
-			Rebalances:    s.rr.out.Rebalances,
-			MigratedBytes: s.rr.out.MigratedBytes,
-		}
-		if err := snapshotInto(ck, s.rr.out.Durations, s.rr.engines); err != nil {
-			return nil, err
-		}
-	} else {
-		ck.Compute, ck.Exchange = s.rt.compute, s.rt.exchange
-		ck.CompactExchangedBytes = s.rt.exchangedBytes
-		if err := snapshotInto(ck, s.rt.durations, s.rt.engines); err != nil {
-			return nil, err
-		}
-	}
-	return ck.Marshal()
+	return captureBlob(s.d, s.cfg, s.net, s.tr, s.res)
 }
 
 // Finish advances any remaining iterations, prices the closing barriers
@@ -251,31 +152,7 @@ func (s *Session) Finish() (*Result, error) {
 	if s.done {
 		return nil, fmt.Errorf("scaleout: Session already finished")
 	}
-	s.Step(s.Remaining())
 	s.done = true
-	res := s.res
-	var co *compactOutcome
-	if s.rr != nil {
-		ro := s.rr.finish()
-		co = &ro.compactOutcome
-		res.HaloBytes = ro.HaloBytes
-		res.RemoteTNFrac = remoteTNFrac(ro.LocalTNs, ro.RemoteTNs)
-		res.Rebalances = ro.Rebalances
-		res.MigratedBytes = ro.MigratedBytes
-	} else {
-		res.HaloBytes = s.rt.st.HaloBytes
-		res.RemoteTNFrac = s.rt.st.RemoteTNFrac()
-		out := &compactOutcome{ExchangedBytes: s.rt.exchangedBytes}
-		linkBarrier, syncBarrier := bspBarriers(s.rt.net, s.rt.cfg, s.rt.iters)
-		out.Phase = PhaseCycles{Compute: s.rt.compute, Exchange: s.rt.exchange, Barrier: linkBarrier + syncBarrier}
-		out.LinkBarrier = linkBarrier
-		out.Durations = s.rt.durations
-		out.NMP = make([]*nmp.Result, s.rt.n)
-		for i, e := range s.rt.engines {
-			out.NMP[i] = e.Result()
-		}
-		co = out
-	}
-	finalize(res, co)
-	return res, nil
+	finalize(s.res, s.d.finish(s.res))
+	return s.res, nil
 }

@@ -7,11 +7,11 @@
 //
 // Concurrency contract: beforeStep/afterStep run on the worker goroutine
 // that owns node i and touch only node-i scratch and node-i DRAM tracks
-// (each track is single-writer); every other method runs on the
-// single-threaded scheduling path, after the workers have joined. A nil
-// *probes disables everything — the recording sites in runtime.go and
-// rebalance.go are nil-guarded, so a telemetry-free run takes one branch
-// per site and allocates nothing.
+// and node-i step records (each is single-writer); every other method
+// runs on the single-threaded scheduling path, after the workers have
+// joined. A nil *probes disables everything — the recording sites are
+// nil-guarded, so a telemetry-free run takes one branch per site and
+// allocates nothing.
 package scaleout
 
 import (
@@ -23,31 +23,29 @@ import (
 	"nmppak/internal/topo"
 )
 
-// stepScratch is the per-node bracket state around one engine step.
+// stepScratch holds a node's DRAM bus counters bracketing one engine
+// step.
 type stepScratch struct {
-	dramFrom   []int // per-channel track length before the step
-	busPrev    []int64
-	busCur     []int64
-	start, end sim.Cycle // the step's local-clock window
-	busDelta   int64     // DRAM bus cycles the step consumed
+	busPrev []int64
+	busCur  []int64
 }
 
-// stepRec is one buffered engine step of the parallel (windowed) runtime:
-// the bracket state snapshotted on the worker goroutine right after the
-// step, placed onto the global timeline later, when the macro scheduler
-// reaches the iteration. dramFrom/dramTo bracket the step's span batch on
-// each DRAM track so placeBuffered can re-base exactly that batch —
+// stepRec is one engine step's telemetry, recorded on the worker
+// goroutine that ran it and placed onto the global timeline later, when
+// the scheduler reaches the iteration. dramFrom/dramTo bracket the step's
+// span batch on each DRAM track so place can re-base exactly that batch —
 // later iterations' spans may already sit past dramTo by then, still on
 // their local clock, waiting for their own placement.
 type stepRec struct {
-	start, end sim.Cycle
-	busDelta   int64
+	start, end sim.Cycle // the step's local-clock window
+	busDelta   int64     // DRAM bus cycles the step consumed
 	dramFrom   []int
 	dramTo     []int
 
 	// Post-step engine event-kernel counters, so dropBuffered can rewind
-	// pr.kern when a recovery discards pre-stepped iterations (the serial
-	// schedule never ran them, and the counters end up in the trace).
+	// pr.kern when a recovery discards pre-stepped iterations (the
+	// superstep-at-a-time schedule never ran them, and the counters end
+	// up in the trace).
 	ev   int64
 	pend int
 }
@@ -69,8 +67,8 @@ type probes struct {
 	lp      topo.Probe // reusable link-probe header for serial exchanges
 	scratch []stepScratch
 
-	// buf holds the windowed runtime's per-iteration step records,
-	// [node][iteration]; nil on every serial path (enableBuffer sizes it).
+	// buf holds every step's record, [node][iteration] (enableBuffer
+	// sizes it when a driver attaches the probes).
 	buf [][]stepRec
 }
 
@@ -144,38 +142,46 @@ func (pr *probes) prelude(res *Result) {
 	pr.base = pr.phaseSpans(res.Construct, t)
 }
 
-// beforeStep and afterStep bracket one engine step; both run on the
-// worker goroutine that owns node i.
-func (pr *probes) beforeStep(i int, e *nmp.Engine) {
-	s := &pr.scratch[i]
-	s.dramFrom = s.dramFrom[:0]
+// beforeStep and afterStep bracket node i's step of iteration it into
+// its step record; both run on the worker goroutine that owns node i.
+func (pr *probes) beforeStep(i, it int, e *nmp.Engine) {
+	r := &pr.buf[i][it]
+	r.dramFrom = r.dramFrom[:0]
 	for _, t := range pr.dram[i] {
-		s.dramFrom = append(s.dramFrom, t.Len())
+		r.dramFrom = append(r.dramFrom, t.Len())
 	}
+	s := &pr.scratch[i]
 	s.busPrev = e.AppendBusBusy(s.busPrev[:0])
 }
 
-func (pr *probes) afterStep(i int, e *nmp.Engine, ti nmp.IterTiming) {
+func (pr *probes) afterStep(i, it int, e *nmp.Engine, ti nmp.IterTiming) {
 	s := &pr.scratch[i]
 	s.busCur = e.AppendBusBusy(s.busCur[:0])
-	s.busDelta = 0
+	r := &pr.buf[i][it]
+	r.busDelta = 0
 	for c := range s.busCur {
-		s.busDelta += s.busCur[c] - s.busPrev[c]
+		r.busDelta += s.busCur[c] - s.busPrev[c]
 	}
-	s.start, s.end = ti.Start, ti.End
+	r.start, r.end = ti.Start, ti.End
+	r.dramTo = r.dramTo[:0]
+	for _, t := range pr.dram[i] {
+		r.dramTo = append(r.dramTo, t.Len())
+	}
+	r.ev, r.pend = pr.kern[i].Dispatched, pr.kern[i].MaxPending
 }
 
-// placeIter pins node i's just-stepped iteration onto the global timeline
-// at gs: the iteration span lands on the node track (Arg2 = the step's
-// DRAM bus cycles) and the step's DRAM spans are re-based from the
-// engine's local clock. Runs after the step's worker has joined.
-func (pr *probes) placeIter(i, it int, gs sim.Cycle) {
-	s := &pr.scratch[i]
-	delta := gs - s.start
+// place pins node i's stepped iteration it onto the global timeline at
+// gs: the iteration span lands on the node track (Arg2 = the step's DRAM
+// bus cycles) and the step's own DRAM span batch is re-based from the
+// engine's local clock (ShiftRange: the track tail may already hold later
+// pre-stepped iterations). Runs on the single-threaded scheduling path.
+func (pr *probes) place(i, it int, gs sim.Cycle) {
+	r := &pr.buf[i][it]
+	delta := gs - r.start
 	for c, t := range pr.dram[i] {
-		t.ShiftTail(s.dramFrom[c], delta)
+		t.ShiftRange(r.dramFrom[c], r.dramTo[c], delta)
 	}
-	pr.node[i].Add(telemetry.SpanIter, gs, gs+(s.end-s.start), int64(it), s.busDelta)
+	pr.node[i].Add(telemetry.SpanIter, gs, gs+(r.end-r.start), int64(it), r.busDelta)
 }
 
 // placeReplayed records an iteration whose engine step happened before a
@@ -185,7 +191,7 @@ func (pr *probes) placeReplayed(i, it int, gs, d sim.Cycle) {
 	pr.node[i].Add(telemetry.SpanIter, gs, gs+d, int64(it), 0)
 }
 
-// enableBuffer sizes the step buffers for a windowed (parallel) run.
+// enableBuffer sizes the step records for an iters-iteration phase.
 func (pr *probes) enableBuffer(n, iters int) {
 	pr.buf = make([][]stepRec, n)
 	for i := range pr.buf {
@@ -193,38 +199,9 @@ func (pr *probes) enableBuffer(n, iters int) {
 	}
 }
 
-// bufferStep snapshots the just-stepped iteration's bracket state into
-// the node's step buffer. Runs on the worker goroutine that owns node i
-// during a parallel window — it touches only node-i state, preserving the
-// single-writer contract.
-func (pr *probes) bufferStep(i, it int) {
-	s := &pr.scratch[i]
-	r := &pr.buf[i][it]
-	r.start, r.end, r.busDelta = s.start, s.end, s.busDelta
-	r.dramFrom = append(r.dramFrom[:0], s.dramFrom...)
-	r.dramTo = r.dramTo[:0]
-	for _, t := range pr.dram[i] {
-		r.dramTo = append(r.dramTo, t.Len())
-	}
-	r.ev, r.pend = pr.kern[i].Dispatched, pr.kern[i].MaxPending
-}
-
-// placeBuffered is placeIter for a pre-stepped iteration: the same spans,
-// the same re-basing delta, but shifting only the buffered step's own
-// span batch (ShiftRange) because the track tail may already hold later
-// pre-stepped iterations. Runs on the single-threaded scheduling path.
-func (pr *probes) placeBuffered(i, it int, gs sim.Cycle) {
-	r := &pr.buf[i][it]
-	delta := gs - r.start
-	for c, t := range pr.dram[i] {
-		t.ShiftRange(r.dramFrom[c], r.dramTo[c], delta)
-	}
-	pr.node[i].Add(telemetry.SpanIter, gs, gs+(r.end-r.start), int64(it), r.busDelta)
-}
-
 // dropBuffered discards node i's un-placed DRAM spans from pre-stepped
-// iteration `from` on: the windowed elastic runtime calls it before a
-// recovery rolls the run back past those iterations, since the serial
+// iteration `from` on: the elastic BSP loop calls it before a recovery
+// rolls the run back past those iterations, since the superstep-at-a-time
 // schedule never stepped them and their spans must not survive on the
 // tracks. The spans of iterations >= from form the track tail (placement
 // happens in iteration order), so truncating to the buffered batch start
@@ -244,36 +221,26 @@ func (pr *probes) dropBuffered(i, from int) {
 }
 
 // stall records one d-cycle whole-machine wait starting at gnow on the
-// runtime track and every node track, returning the new global time.
-func (pr *probes) stall(kind telemetry.SpanKind, it int, gnow, d sim.Cycle, bytes int64) sim.Cycle {
-	if d <= 0 {
-		return gnow
-	}
+// runtime track and every live node track (live nil: all; a dead
+// engine's track simply ends at the iteration it died in).
+func (pr *probes) stall(kind telemetry.SpanKind, it int, gnow, d sim.Cycle, bytes int64, live []bool) {
 	pr.phases.Add(kind, gnow, gnow+d, int64(it), bytes)
 	for i := range pr.node {
-		pr.node[i].Add(kind, gnow, gnow+d, int64(it), 0)
-	}
-	return gnow + d
-}
-
-// place pins node i's iteration it onto the global timeline at gs: from
-// its live bracket scratch (serial paths, the step just ran) or from its
-// step buffer (windowed paths, the step ran rounds ago on a worker).
-func (pr *probes) place(i, it int, gs sim.Cycle, buffered bool) {
-	if buffered {
-		pr.placeBuffered(i, it, gs)
-	} else {
-		pr.placeIter(i, it, gs)
+		if live == nil || live[i] {
+			pr.node[i].Add(kind, gnow, gnow+d, int64(it), 0)
+		}
 	}
 }
 
-// superstepCompute places every node's just-stepped iteration at gnow,
-// fills the stragglers' idle windows up to the slowest node, records the
-// phase compute segment and returns the new global time. buffered selects
-// the step-buffer placement of the windowed (parallel) runtimes.
-func (pr *probes) superstepCompute(it int, gnow sim.Cycle, durs []sim.Cycle, max sim.Cycle, buffered bool) sim.Cycle {
+// superstepCompute places every live node's stepped iteration at gnow,
+// fills the stragglers' idle windows up to the slowest node and records
+// the phase compute segment.
+func (pr *probes) superstepCompute(it int, gnow sim.Cycle, durs []sim.Cycle, max sim.Cycle, live []bool) {
 	for i := range pr.node {
-		pr.place(i, it, gnow, buffered)
+		if live != nil && !live[i] {
+			continue
+		}
+		pr.place(i, it, gnow)
 		if durs[i] < max {
 			pr.node[i].Add(telemetry.SpanIdle, gnow+durs[i], gnow+max, int64(it), 0)
 		}
@@ -281,69 +248,12 @@ func (pr *probes) superstepCompute(it int, gnow sim.Cycle, durs []sim.Cycle, max
 	if max > 0 {
 		pr.phases.Add(telemetry.SpanCompute, gnow, gnow+max, int64(it), 0)
 	}
-	return gnow + max
-}
-
-// superstepComm records the iteration's halo exchange and, between
-// supersteps, the closing barrier pair plus the barrier dependency gating
-// every node's next iteration on the superstep's slowest node.
-func (pr *probes) superstepComm(it, iters int, gnow sim.Cycle, hx topo.ExchangeStats, lb, sb sim.Cycle, slowest int) sim.Cycle {
-	gnow = pr.stall(telemetry.SpanExchangeWait, it, gnow, hx.Cycles, hx.TotalBytes)
-	if it < iters-1 {
-		gnow = pr.stall(telemetry.SpanLinkBarrier, it, gnow, lb, 0)
-		gnow = pr.stall(telemetry.SpanSyncBarrier, it, gnow, sb, 0)
-		for i := range pr.node {
-			pr.c.AddDep(i, it+1, telemetry.BoundBarrier, slowest)
-		}
-	}
-	return gnow
-}
-
-// bspStart computes the compaction-phase global time after `executed`
-// supersteps, given the accumulated compute/exchange partial sums — the
-// re-entry point for runs split at an iteration boundary (checkpoints).
-func (pr *probes) bspStart(compute, exchange sim.Cycle, executed, iters int, lb, sb sim.Cycle) sim.Cycle {
-	if m := iters - 1; executed > m {
-		executed = m
-	}
-	return pr.base + compute + exchange + sim.Cycle(executed)*(lb+sb)
 }
 
 // instant drops a zero-length marker span on the runtime track (exported
 // to Chrome traces as an instant event).
 func (pr *probes) instant(kind telemetry.SpanKind, at sim.Cycle, a1, a2 int64) {
 	pr.phases.Add(kind, at, at, a1, a2)
-}
-
-// liveStall is stall restricted to the live nodes of an elastic run: dead
-// engines record nothing (their tracks simply end at the iteration they
-// died in).
-func (pr *probes) liveStall(kind telemetry.SpanKind, it int, gnow, d sim.Cycle, bytes int64, live []bool) {
-	if d <= 0 {
-		return
-	}
-	pr.phases.Add(kind, gnow, gnow+d, int64(it), bytes)
-	for i := range pr.node {
-		if live[i] {
-			pr.node[i].Add(kind, gnow, gnow+d, int64(it), 0)
-		}
-	}
-}
-
-// liveCompute is superstepCompute restricted to live nodes.
-func (pr *probes) liveCompute(it int, gnow sim.Cycle, durs []sim.Cycle, live []bool, max sim.Cycle, buffered bool) {
-	for i := range pr.node {
-		if !live[i] {
-			continue
-		}
-		pr.place(i, it, gnow, buffered)
-		if durs[i] < max {
-			pr.node[i].Add(telemetry.SpanIdle, gnow+durs[i], gnow+max, int64(it), 0)
-		}
-	}
-	if max > 0 {
-		pr.phases.Add(telemetry.SpanCompute, gnow, gnow+max, int64(it), 0)
-	}
 }
 
 // probeMark captures the recording position across every track and the
