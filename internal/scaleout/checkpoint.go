@@ -1,7 +1,12 @@
 // Checkpoint/restore for the distributed runtime: a paused run is
 // exported as a versioned, deterministic byte blob between compaction
 // iterations and later reconstructed into a runtime that resumes and
-// finishes with results bit-identical to the uninterrupted run.
+// finishes with results bit-identical to the uninterrupted run. There is
+// one marshaling path, runtime.checkpoint: Checkpoint and
+// Session.Checkpoint export through it, and the elastic capture hook
+// writes its in-memory ring blobs through it too (those carry the
+// membership section instead of the external pause state). Restore and
+// ResumeSession rebuild the same runtime type Simulate runs.
 //
 // What goes in the blob is exactly the state that is not a pure function
 // of the immutable inputs (reads, trace, Config):
@@ -26,11 +31,14 @@
 //     weights) the next migration decision reads, plus the accumulated
 //     migration/halo accounting.
 //
-// The sharded sub-traces and link clocks are deliberately NOT in the blob:
-// sharding is a pure function of (trace, partitioner table) and is
-// recomputed on restore, and every topo link clock is reconstructed by the
-// deterministic schedule replay. That keeps the blob small (engine timing
-// state + durations, not the trace) and keeps one source of truth.
+// The sharded sub-traces and link clocks are deliberately NOT in the blob.
+// Sharding is a pure function of (trace, owner): restore re-shards the
+// executed prefix under the ownership the run started from (for a
+// migrating table that yields the iteration-0 quantile tables, and the
+// prefix traffic comes from the rebalance section). Every topo link clock
+// is reconstructed by the deterministic schedule replay. That keeps the
+// blob small (engine timing state + durations, not the trace) and keeps
+// one source of truth.
 //
 // Restore refuses blobs it cannot honour: short or truncated blobs, an
 // unknown version tag, and any drift between the blob's recorded identity
@@ -74,15 +82,15 @@ const (
 const checkpointMagic = "NMPPAK-CKPT\n"
 
 // ErrElasticConfig is wrapped by Checkpoint and Restore when the
-// configuration routes through the elastic runtime (CheckpointEvery /
-// Faults): elastic runs manage their own in-memory recovery ring and are
-// not externally pause-and-resumable. Schedulers detect non-preemptible
-// jobs with errors.Is(err, ErrElasticConfig) — the tenancy layer queues
-// such fault-plan tenants on dedicated nodes instead of time-slicing them.
+// configuration is elastic (CheckpointEvery / Faults): elastic runs
+// manage their own in-memory recovery ring and are not externally
+// pause-and-resumable. Schedulers detect non-preemptible jobs with
+// errors.Is(err, ErrElasticConfig) — the tenancy layer queues such
+// fault-plan tenants on dedicated nodes instead of time-slicing them.
 var ErrElasticConfig = errors.New("elastic config (CheckpointEvery/Faults) manages its own recovery checkpoints")
 
-// RebalanceState is the dynamic-ownership runtime's extra checkpoint
-// state: the migrated bucket table and the measurements feeding the next
+// RebalanceState is a RebalancePartitioner run's extra checkpoint state:
+// the migrated bucket table and the measurements feeding the next
 // migration decision.
 type RebalanceState struct {
 	// Table is the super-bucket ownership table after the migrations
@@ -103,11 +111,11 @@ type RebalanceState struct {
 	MigratedBytes int64
 }
 
-// ElasticState is the elastic runtime's extra checkpoint state: the live
+// ElasticState is an elastic run's extra checkpoint state: the live
 // membership the blob was captured under and the committed logical
 // traffic counters a recovery rolls back to. Present exactly on the
-// in-memory ring blobs the elastic runtime captures (Config.CheckpointEvery
-// / Config.Faults); the external Checkpoint/Restore surface never carries
+// in-memory ring blobs the capture hook writes (Config.CheckpointEvery /
+// Config.Faults); the external Checkpoint/Restore surface never carries
 // it.
 type ElasticState struct {
 	// Live[i] reports whether node i was still alive at capture time; a
@@ -162,8 +170,8 @@ type CheckpointState struct {
 	// RebalancePartitioner.
 	Rebalance *RebalanceState
 
-	// Elastic is present exactly on the elastic runtime's internal ring
-	// blobs (see ElasticState).
+	// Elastic is present exactly on an elastic run's internal ring blobs
+	// (see ElasticState).
 	Elastic *ElasticState
 }
 
@@ -201,76 +209,91 @@ func Checkpoint(reads []readsim.Read, tr *trace.Trace, cfg Config, beforeIter in
 	if err != nil {
 		return nil, err
 	}
-	d, err := newDriver(tr, net, cfg, nil)
+	r, err := newRuntime(tr, net, cfg, res, nil)
 	if err != nil {
 		return nil, err
 	}
 	if !cfg.Overlap {
-		d.setProbes(pr)
+		r.setProbes(pr)
 	}
-	d.advance(beforeIter)
-	blob, err := captureBlob(d, cfg, net, tr, res)
+	if err := r.advance(beforeIter); err != nil {
+		return nil, err
+	}
+	blob, err := r.checkpoint(beforeIter)
 	if err != nil {
 		return nil, err
 	}
 	if pr != nil {
-		at := pr.base
-		if !cfg.Overlap {
-			at += d.base().now()
-		}
+		at := pr.base + r.now()
 		pr.phases.Add(telemetry.SpanCheckpoint, at, at, int64(beforeIter), 0)
 		pr.seal()
 	}
 	return blob, nil
 }
 
-// captureBlob exports driver d's state at its current boundary as a blob.
-// Checkpoint and Session.Checkpoint both capture through it, so an
-// incrementally advanced session snapshots byte-identically to a
+// checkpoint marshals the run's state at boundary it as a versioned blob:
+// the identity and prelude sections, the executed durations and engine
+// snapshots, and either the external pause state — BSP partial sums and,
+// for a migrating table, the rebalance section — or, on an elastic run's
+// ring, the membership and committed traffic (ElasticState). Checkpoint,
+// Session.Checkpoint and the elastic capture all marshal through it, so
+// an incrementally advanced session snapshots byte-identically to a
 // one-shot capture at the same boundary.
-func captureBlob(d driver, cfg Config, net topo.Network, tr *trace.Trace, res *Result) ([]byte, error) {
-	ck := checkpointHeader(cfg, net.Name(), configDigest(cfg, net.Name()), traceDigest(tr), res, d.base().next)
-	if err := d.snapshot(ck); err != nil {
-		return nil, err
+func (r *runtime) checkpoint(it int) ([]byte, error) {
+	if !r.digested {
+		r.cfgDigest, r.trDigest = configDigest(r.cfg, r.net.Name()), traceDigest(r.tr)
+		r.digested = true
 	}
-	return ck.Marshal()
-}
-
-// checkpointHeader builds the identity and prelude sections of a
-// CheckpointState from a prelude Result: everything except the live
-// compaction-runtime state (durations, engines, partial sums).
-func checkpointHeader(cfg Config, topology string, cfgDigest, trDigest uint64, res *Result, resumeIter int) *CheckpointState {
-	return &CheckpointState{
+	ck := &CheckpointState{
 		Version:               CheckpointVersion,
-		ConfigDigest:          cfgDigest,
-		TraceDigest:           trDigest,
-		Nodes:                 cfg.Nodes,
-		K:                     cfg.K,
-		Overlap:               cfg.Overlap,
-		Partitioner:           cfg.Partitioner.Name(),
-		Topology:              topology,
-		Count:                 res.Count,
-		Construct:             res.Construct,
-		PerNode:               res.PerNode,
-		PreludeExchangedBytes: res.ExchangedBytes,
-		ResumeIter:            resumeIter,
+		ConfigDigest:          r.cfgDigest,
+		TraceDigest:           r.trDigest,
+		Nodes:                 r.cfg.Nodes,
+		K:                     r.cfg.K,
+		Overlap:               r.cfg.Overlap,
+		Partitioner:           r.cfg.Partitioner.Name(),
+		Topology:              r.net.Name(),
+		Count:                 r.res.Count,
+		Construct:             r.res.Construct,
+		PerNode:               r.res.PerNode,
+		PreludeExchangedBytes: r.res.ExchangedBytes,
+		ResumeIter:            it,
+		Durations:             make([][]sim.Cycle, r.n),
+		Engines:               make([]nmp.EngineState, r.n),
 	}
-}
-
-// snapshotInto records the executed durations and the per-node engine
-// snapshots on the checkpoint.
-func snapshotInto(ck *CheckpointState, durations [][]sim.Cycle, engines []*nmp.Engine) error {
-	ck.Durations = make([][]sim.Cycle, len(engines))
-	ck.Engines = make([]nmp.EngineState, len(engines))
-	for i, e := range engines {
-		ck.Durations[i] = append([]sim.Cycle(nil), durations[i][:ck.ResumeIter]...)
+	if r.live != nil {
+		ck.Elastic = &ElasticState{
+			Live:      append([]bool(nil), r.live...),
+			LocalTNs:  r.st.LocalTNs,
+			RemoteTNs: r.st.RemoteTNs,
+			HaloBytes: r.st.HaloBytes,
+		}
+	} else {
+		ck.Compute, ck.Exchange = r.compute, r.exchange
+		ck.CompactExchangedBytes = r.exchangedBytes
+		if rb := r.rb; rb != nil {
+			ck.Rebalance = &RebalanceState{
+				Table:         append([]uint16(nil), rb.table...),
+				Cum:           append([]sim.Cycle(nil), rb.cum...),
+				LastDur:       append([]sim.Cycle(nil), rb.lastDur...),
+				Weight:        append([]int64(nil), rb.weight...),
+				LocalTNs:      r.st.LocalTNs,
+				RemoteTNs:     r.st.RemoteTNs,
+				HaloBytes:     r.st.HaloBytes,
+				Rebalances:    r.res.Rebalances,
+				MigratedBytes: r.res.MigratedBytes,
+			}
+		}
+	}
+	for i, e := range r.engines {
+		ck.Durations[i] = append([]sim.Cycle(nil), r.durations[i][:it]...)
 		st, err := e.Snapshot()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		ck.Engines[i] = st
 	}
-	return nil
+	return ck.Marshal()
 }
 
 // Restore reconstructs a distributed run from a checkpoint blob — taken
@@ -280,7 +303,7 @@ func snapshotInto(ck *CheckpointState, durations [][]sim.Cycle, engines []*nmp.E
 // themselves are not needed, because the blob carries the software-phase
 // outcome.
 func Restore(tr *trace.Trace, cfg Config, blob []byte) (*Result, error) {
-	res, d, net, err := resume(tr, cfg, blob, func(cfg Config) error {
+	r, err := resume(tr, cfg, blob, func(cfg Config) error {
 		if cfg.elastic() {
 			return fmt.Errorf("scaleout: Restore resumes a deterministic run; %w", ErrElasticConfig)
 		}
@@ -296,34 +319,39 @@ func Restore(tr *trace.Trace, cfg Config, blob []byte) (*Result, error) {
 	// iterations get spans, with recorded durations standing in).
 	var pr *probes
 	if cfg.Telemetry != nil {
-		pr = newProbes(cfg.Telemetry, net, cfg)
-		pr.prelude(res)
+		pr = newProbes(cfg.Telemetry, r.net, cfg)
+		pr.prelude(r.res)
 	}
-	d.setProbes(pr)
-	finalize(res, d.finish(res))
+	r.setProbes(pr)
+	co, err := r.finish()
+	if err != nil {
+		return nil, err
+	}
+	finalize(r.res, co)
 	if pr != nil {
 		pr.seal()
 	}
-	return res, nil
+	return r.res, nil
 }
 
 // resume decodes a checkpoint blob, validates it against (tr, cfg) —
-// after cfg passes check — and rebuilds the paused driver plus the
-// prelude Result the blob carries. Restore and ResumeSession share it.
-func resume(tr *trace.Trace, cfg Config, blob []byte, check func(Config) error) (*Result, driver, topo.Network, error) {
+// after cfg passes check — and rebuilds the paused runtime, reporting
+// into the prelude Result the blob carries. Restore and ResumeSession
+// share it.
+func resume(tr *trace.Trace, cfg Config, blob []byte, check func(Config) error) (*runtime, error) {
 	ck, err := UnmarshalCheckpoint(blob)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	net, err := validateRun(tr, cfg)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	if err := check(cfg); err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	if err := ck.matches(tr, cfg, net); err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	res := &Result{
 		Nodes:          cfg.Nodes,
@@ -334,11 +362,7 @@ func resume(tr *trace.Trace, cfg Config, blob []byte, check func(Config) error) 
 		PerNode:        append([]NodeStats(nil), ck.PerNode...),
 		ExchangedBytes: ck.PreludeExchangedBytes,
 	}
-	d, err := newDriver(tr, net, cfg, ck)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return res, d, net, nil
+	return newRuntime(tr, net, cfg, res, ck)
 }
 
 // Marshal encodes the checkpoint as magic + version tag + gob payload.

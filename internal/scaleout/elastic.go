@@ -36,14 +36,14 @@
 // compaction phase from iteration 0 on the survivors, the degenerate
 // cadence the sweep's zero point measures.
 //
-// The run is a third driver on the shared core (runtime.go), with the
-// core's live mask as the membership and topo.Degraded as its network.
-// Its one BSP loop pre-steps chunks that never cross a capture boundary
-// and prices each superstep over the live nodes; its overlapped
-// discipline calls the same segment scheduler as the fixed-membership
-// runtime, once per checkpoint segment. A fault-free configuration with
-// CheckpointEvery == 0 never enters this file: Simulate dispatches here
-// only when cfg.elastic().
+// The protocol is the runtime's recovery state (below) plus its fault
+// and capture hooks, not a runtime of its own. An elastic configuration
+// wraps the network in topo.Degraded, gives the core a live mask and
+// wraps the owner in the survivor failover; both loops of runtime.go then
+// call faults and capture at every boundary, a BSP chunk never crosses a
+// capture boundary and an overlapped segment ends at one. A fault-free
+// configuration with CheckpointEvery == 0 leaves the recovery state zero:
+// the hooks find nothing to do and the network stays unwrapped.
 package scaleout
 
 import (
@@ -54,7 +54,6 @@ import (
 	"nmppak/internal/sim"
 	"nmppak/internal/telemetry"
 	"nmppak/internal/topo"
-	"nmppak/internal/trace"
 )
 
 // DefaultCheckpointBytesPerCycle prices checkpoint capture and restore
@@ -76,19 +75,15 @@ type ringEntry struct {
 	blob []byte
 }
 
-// elasticRun drives the fault-aware compaction replay on the shared
-// driver core, whose live mask tracks the membership and whose network is
-// the degradable wrapper. The protocol stalls — checkpoint captures,
-// detection and restore — are charged to the barrier bucket, re-partition
-// migrations to exchange. Recovery bookkeeping accumulates directly on
-// the run's Result.
-type elasticRun struct {
-	core
-	tr  *trace.Trace
-	deg *topo.Degraded
-	res *Result // prelude outcome, embedded in every captured blob
-
-	k1    int
+// recovery is the runtime's elastic state — the membership and its
+// failover, the degradable network, the fault plan and the checkpoint
+// ring. It stays zero unless cfg.elastic(), and while it is zero every
+// hook below is a no-op: no events to apply, nothing to capture. The
+// protocol stalls — checkpoint captures, detection and restore — are
+// charged to the barrier bucket, re-partition migrations to exchange;
+// the recovery bookkeeping accumulates on the run's Result.
+type recovery struct {
+	deg   *topo.Degraded
 	every int     // checkpoint cadence (0 = none)
 	ckBPC float64 // checkpoint capture/restore bytes per cycle
 
@@ -96,94 +91,51 @@ type elasticRun struct {
 	nextEvent int           // first pending event
 	detect    sim.Cycle     // failure-detection latency per recovery
 
-	surv   []int // live node indices, ascending (failover hash targets)
-	traces []*trace.Trace
-
-	localTNs, remoteTNs, haloBytes int64 // committed logical traffic
-
-	cfgDigest, trDigest uint64
-	ring                []ringEntry
+	home func(dna.Kmer) int // owner before failover
+	surv []int              // live node indices, ascending (failover hash targets)
+	ring []ringEntry
 }
 
-// runElastic executes the compaction phase with periodic checkpoints and
-// the configured fault plan, on a degradable wrapper of net, recording
-// the recovery accounting and traffic on res.
-func runElastic(tr *trace.Trace, net topo.Network, cfg Config, res *Result, pr *probes) (*compactOutcome, error) {
-	er, err := newElasticRun(tr, net, cfg, res, pr)
-	if err != nil {
-		return nil, err
+// startRecovery puts the run on the elastic protocol: a degradable
+// wrapper of the network (fault-free runs never pay for it), a live mask
+// over every node, and the failover wrapped around the owner.
+func (r *runtime) startRecovery() {
+	r.deg = topo.NewDegraded(r.net)
+	r.net = r.deg
+	r.every = r.cfg.CheckpointEvery
+	r.ckBPC = r.cfg.CheckpointBytesPerCycle
+	if r.ckBPC <= 0 {
+		r.ckBPC = DefaultCheckpointBytesPerCycle
 	}
-	if cfg.Overlap {
-		err = er.runOverlapped()
-	} else {
-		err = er.runBSP()
+	if f := r.cfg.Faults; f != nil {
+		r.events = f.Sorted()
+		r.detect = f.DetectCycles
 	}
-	if err != nil {
-		return nil, err
+	r.live = make([]bool, r.n)
+	for i := range r.live {
+		r.live[i] = true
+		r.surv = append(r.surv, i)
 	}
-	res.HaloBytes = er.haloBytes
-	res.RemoteTNFrac = remoteTNFrac(er.localTNs, er.remoteTNs)
-	// Every engine — survivors complete, casualties frozen at their last
-	// committed iteration — reports its result.
-	return er.outcome(), nil
+	r.home = r.owner
+	r.owner = func(key dna.Kmer) int { return failover(r.home(key), key, r.live, r.surv) }
 }
 
-func newElasticRun(tr *trace.Trace, net topo.Network, cfg Config, res *Result, pr *probes) (*elasticRun, error) {
-	n := cfg.Nodes
-	deg := topo.NewDegraded(net)
-	er := &elasticRun{
-		core:      newCore(cfg, deg, len(tr.Iterations)),
-		tr:        tr,
-		deg:       deg,
-		res:       res,
-		k1:        tr.K - 1,
-		every:     cfg.CheckpointEvery,
-		ckBPC:     cfg.CheckpointBytesPerCycle,
-		traces:    make([]*trace.Trace, n),
-		cfgDigest: configDigest(cfg, net.Name()),
-		trDigest:  traceDigest(tr),
-	}
-	if er.ckBPC <= 0 {
-		er.ckBPC = DefaultCheckpointBytesPerCycle
-	}
-	if cfg.Faults != nil {
-		er.events = cfg.Faults.Sorted()
-		er.detect = cfg.Faults.DetectCycles
-	}
-	er.live = make([]bool, n)
-	for i := 0; i < n; i++ {
-		er.live[i] = true
-		er.surv = append(er.surv, i)
-		er.traces[i] = &trace.Trace{K: tr.K}
-	}
-	if err := er.loadEngines(er.traces, nil); err != nil {
-		return nil, err
-	}
-	er.setProbes(pr)
-	return er, nil
-}
-
-// ownerOf resolves a key under the current membership: the static
-// partitioner's owner while it lives, otherwise a deterministic
-// key-hashed survivor — every node computes the same failover assignment
-// without coordination, like the base partitioners.
-func (er *elasticRun) ownerOf(key dna.Kmer) int {
-	return ownerUnder(er.cfg.Partitioner, key, er.k1, er.n, er.live, er.surv)
-}
-
-func ownerUnder(p Partitioner, key dna.Kmer, k1, n int, live []bool, surv []int) int {
-	o := p.Owner(key, k1, n)
-	if live[o] {
-		return o
+// failover resolves a key under a membership: its home owner while that
+// node lives, otherwise a deterministic key-hashed survivor — every node
+// computes the same failover assignment without coordination, like the
+// base partitioners.
+func failover(home int, key dna.Kmer, live []bool, surv []int) int {
+	if live[home] {
+		return home
 	}
 	return surv[mix64(uint64(key))%uint64(len(surv))]
 }
 
 // nextLive is the replica node holding the dead node's shard copy in the
 // recovery model: the next live node in ring order.
-func (er *elasticRun) nextLive(i int) int {
-	for d := 1; d <= er.n; d++ {
-		if j := (i + d) % er.n; er.live[j] {
+func (r *runtime) nextLive(i int) int {
+	for d := 1; d <= r.n; d++ {
+		if j := (i + d) % r.n; r.live[j] {
 			return j
 		}
 	}
@@ -191,12 +143,10 @@ func (er *elasticRun) nextLive(i int) int {
 }
 
 // pendingLoss reports whether the next boundary pass will act on a node
-// loss — an event already due at the current phase time. The BSP loop
-// peeks so it can drop the un-placed telemetry of pre-stepped iterations
-// before the recovery's own spans are recorded.
-func (er *elasticRun) pendingLoss() bool {
-	for _, ev := range er.events[er.nextEvent:] {
-		if ev.Cycle > er.now() {
+// loss — an event already due at the current phase time.
+func (r *runtime) pendingLoss() bool {
+	for _, ev := range r.events[r.nextEvent:] {
+		if ev.Cycle > r.now() {
 			return false
 		}
 		if ev.Kind == fault.NodeLoss {
@@ -206,92 +156,98 @@ func (er *elasticRun) pendingLoss() bool {
 	return false
 }
 
-// captureDue reports whether a periodic checkpoint should be captured
-// before iteration it (never re-captured after a recovery pushed a
-// baseline at the same boundary).
-func (er *elasticRun) captureDue(it int) bool {
-	if er.every <= 0 || it == 0 || it%er.every != 0 {
-		return false
+// dropPrestepped discards the un-placed telemetry of the iterations the
+// BSP loop pre-stepped from it on when the boundary before it is about
+// to recover from a node loss: the superstep-at-a-time schedule never
+// stepped them, and the recovery rolls them back.
+func (r *runtime) dropPrestepped(it int) {
+	if r.pr == nil || !r.pendingLoss() {
+		return
 	}
-	return len(er.ring) == 0 || er.ring[len(er.ring)-1].iter < it
+	for i, l := range r.live {
+		if l {
+			r.pr.dropBuffered(i, it)
+		}
+	}
 }
 
-// segmentEnd is where the segment starting at iteration it ends: the
-// next checkpoint boundary (a coordinated capture is a global
-// synchronization), or the end of the phase.
-func (er *elasticRun) segmentEnd(it int) int {
-	if er.every > 0 {
-		return min((it/er.every+1)*er.every, er.iters)
+// lossIn finds the first node loss that lands inside an overlapped
+// segment starting at the current phase time: bj is the first segment
+// iteration whose boundary the loss's cycle fc reaches, -1 when there is
+// none (a loss past the segment's last boundary is detected by the next
+// boundary pass instead).
+func (r *runtime) lossIn(seg *segOutcome) (bj int, fc sim.Cycle) {
+	for _, ev := range r.events[r.nextEvent:] {
+		if ev.Cycle > r.now()+seg.makespan {
+			break
+		}
+		if ev.Kind == fault.NodeLoss {
+			for j, b := range seg.boundary {
+				if r.now()+b >= ev.Cycle {
+					return j, ev.Cycle
+				}
+			}
+			break
+		}
 	}
-	return er.iters
+	return -1, 0
 }
 
-// snapshot marshals the current state as a standard checkpoint blob
-// resuming at iteration it, with the elastic membership section attached.
-func (er *elasticRun) snapshot(it int) ([]byte, error) {
-	ck := checkpointHeader(er.cfg, er.deg.Name(), er.cfgDigest, er.trDigest, er.res, it)
-	ck.Elastic = &ElasticState{
-		Live:      append([]bool(nil), er.live...),
-		LocalTNs:  er.localTNs,
-		RemoteTNs: er.remoteTNs,
-		HaloBytes: er.haloBytes,
+// capture is the checkpoint hook at the boundary before iteration it:
+// every CheckpointEvery iterations it pushes a blob into the ring and
+// charges the capture stall (never re-capturing a boundary a recovery
+// already pushed a baseline at).
+func (r *runtime) capture(it int) error {
+	if r.every <= 0 || it == 0 || it%r.every != 0 || (len(r.ring) > 0 && r.ring[len(r.ring)-1].iter >= it) {
+		return nil
 	}
-	if err := snapshotInto(ck, er.durations, er.engines); err != nil {
-		return nil, err
-	}
-	return ck.Marshal()
-}
-
-// capture pushes a periodic checkpoint into the ring and charges the
-// capture stall.
-func (er *elasticRun) capture(it int) error {
-	blob, err := er.snapshot(it)
+	blob, err := r.checkpoint(it)
 	if err != nil {
 		return err
 	}
-	if len(er.ring) == elasticRingCap {
-		copy(er.ring, er.ring[1:])
-		er.ring = er.ring[:elasticRingCap-1]
+	if len(r.ring) == elasticRingCap {
+		copy(r.ring, r.ring[1:])
+		r.ring = r.ring[:elasticRingCap-1]
 	}
-	er.ring = append(er.ring, ringEntry{iter: it, blob: blob})
-	d := sim.Cycle(float64(len(blob)) / er.ckBPC)
-	er.res.Checkpoints++
-	er.res.CheckpointBytes += int64(len(blob))
-	er.res.CheckpointCycles += d
-	er.stall(telemetry.SpanCheckpoint, it, d, int64(len(blob)), &er.barrier)
+	r.ring = append(r.ring, ringEntry{iter: it, blob: blob})
+	d := sim.Cycle(float64(len(blob)) / r.ckBPC)
+	r.res.Checkpoints++
+	r.res.CheckpointBytes += int64(len(blob))
+	r.res.CheckpointCycles += d
+	r.stall(telemetry.SpanCheckpoint, it, d, int64(len(blob)), &r.barrier)
 	return nil
 }
 
-// boundary processes the iteration boundary before iteration it: every
+// faults is the fault hook at the boundary before iteration it: every
 // pending fault event whose cycle has been reached is applied — link
 // events mutate the interconnect immediately, node losses trigger a
 // recovery. Returns the iteration to resume at when a recovery rewound
 // the run, -1 otherwise.
-func (er *elasticRun) boundary(it int) (int, error) {
+func (r *runtime) faults(it int) (int, error) {
 	var losses []fault.Event
-	for er.nextEvent < len(er.events) && er.events[er.nextEvent].Cycle <= er.now() {
-		e := er.events[er.nextEvent]
-		er.nextEvent++
-		er.res.FaultsInjected++
-		if er.pr != nil {
+	for r.nextEvent < len(r.events) && r.events[r.nextEvent].Cycle <= r.now() {
+		e := r.events[r.nextEvent]
+		r.nextEvent++
+		r.res.FaultsInjected++
+		if r.pr != nil {
 			arg := e.Node
 			if e.Kind != fault.NodeLoss {
 				arg = e.Src
 			}
-			er.pr.instant(telemetry.SpanFault, er.pr.base+e.Cycle, int64(arg), int64(e.Kind))
+			r.pr.instant(telemetry.SpanFault, r.pr.base+e.Cycle, int64(arg), int64(e.Kind))
 		}
 		switch e.Kind {
 		case fault.NodeLoss:
 			losses = append(losses, e)
 		case fault.LinkDegrade:
-			if err := er.deg.Slow(e.Src, e.Dst, e.Factor); err != nil {
+			if err := r.deg.Slow(e.Src, e.Dst, e.Factor); err != nil {
 				return 0, err
 			}
 		case fault.LinkOutage:
-			if err := er.deg.CutRoute(e.Src, e.Dst); err != nil {
+			if err := r.deg.CutRoute(e.Src, e.Dst); err != nil {
 				return 0, err
 			}
-			if err := er.deg.Verify(er.live); err != nil {
+			if err := r.deg.Verify(r.live); err != nil {
 				return 0, fmt.Errorf("scaleout: %s is unrecoverable: %w", e, err)
 			}
 		}
@@ -299,7 +255,7 @@ func (er *elasticRun) boundary(it int) (int, error) {
 	if len(losses) == 0 {
 		return -1, nil
 	}
-	return er.recover(losses, it)
+	return r.recover(losses, it)
 }
 
 // recover handles one or more node losses surfacing at the boundary
@@ -308,290 +264,111 @@ func (er *elasticRun) boundary(it int) (int, error) {
 // everything since, re-partition migration of the shards that changed
 // owners, and a fresh baseline checkpoint at the resume point. Returns
 // the iteration the run resumes at.
-func (er *elasticRun) recover(losses []fault.Event, bIter int) (int, error) {
-	liveBefore := len(er.surv)
-	oldLive := append([]bool(nil), er.live...)
-	oldSurv := append([]int(nil), er.surv...)
+func (r *runtime) recover(losses []fault.Event, bIter int) (int, error) {
+	liveBefore := len(r.surv)
+	oldLive := append([]bool(nil), r.live...)
+	oldSurv := append([]int(nil), r.surv...)
 	for _, e := range losses {
-		if !er.live[e.Node] {
+		if !r.live[e.Node] {
 			return 0, fmt.Errorf("scaleout: %s kills an already-dead node", e)
 		}
-		er.live[e.Node] = false
-		er.res.NodesLost++
+		r.live[e.Node] = false
+		r.res.NodesLost++
 	}
-	er.surv = er.surv[:0]
-	for i, l := range er.live {
+	r.surv = r.surv[:0]
+	for i, l := range r.live {
 		if l {
-			er.surv = append(er.surv, i)
+			r.surv = append(r.surv, i)
 		}
 	}
-	if len(er.surv) == 0 {
+	if len(r.surv) == 0 {
 		return 0, fmt.Errorf("scaleout: no survivors after %s", losses[0])
 	}
-	if err := er.deg.Verify(er.live); err != nil {
+	if err := r.deg.Verify(r.live); err != nil {
 		return 0, fmt.Errorf("scaleout: survivors are disconnected: %w", err)
 	}
 
 	// Detection: the heartbeat/membership latency before survivors act.
-	er.res.RecoveryCycles += er.detect
-	er.stall(telemetry.SpanDetect, bIter, er.detect, int64(losses[0].Node), &er.barrier)
+	r.res.RecoveryCycles += r.detect
+	r.stall(telemetry.SpanDetect, bIter, r.detect, int64(losses[0].Node), &r.barrier)
 
 	// Restore from the newest ring checkpoint; with an empty ring the
 	// survivors restart the compaction phase from scratch (the
 	// no-checkpointing degenerate cadence).
 	var ck *CheckpointState
 	resume := 0
-	if len(er.ring) > 0 {
-		ent := &er.ring[len(er.ring)-1]
+	if len(r.ring) > 0 {
+		ent := &r.ring[len(r.ring)-1]
 		dec, err := UnmarshalCheckpoint(ent.blob)
 		if err != nil {
 			return 0, fmt.Errorf("scaleout: recovery checkpoint (iteration %d): %w", ent.iter, err)
 		}
 		ck = dec
 		resume = ck.ResumeIter
-		d := sim.Cycle(float64(len(ent.blob)) / er.ckBPC)
-		er.res.RecoveryCycles += d
-		er.stall(telemetry.SpanRestore, resume, d, int64(len(ent.blob)), &er.barrier)
+		d := sim.Cycle(float64(len(ent.blob)) / r.ckBPC)
+		r.res.RecoveryCycles += d
+		r.stall(telemetry.SpanRestore, resume, d, int64(len(ent.blob)), &r.barrier)
 	}
-	er.res.LostIterations += int64(bIter-resume) * int64(liveBefore)
+	r.res.LostIterations += int64(bIter-resume) * int64(liveBefore)
 
-	if err := er.rollback(ck, resume); err != nil {
+	if err := r.rollback(ck, resume); err != nil {
 		return 0, err
 	}
 
 	// Re-partition: every MacroNode whose owner changed under the new
 	// membership moves from its replica holder (the next live node after
 	// the old owner) to the new owner, over the degraded interconnect.
-	if resume < er.iters {
-		move := mat(er.n)
-		iter := &er.tr.Iterations[resume]
+	if resume < r.iters {
+		move := mat(r.n)
+		iter := &r.tr.Iterations[resume]
 		for i := range iter.Nodes {
 			nd := &iter.Nodes[i]
-			ob := ownerUnder(er.cfg.Partitioner, nd.Key, er.k1, er.n, oldLive, oldSurv)
-			oa := er.ownerOf(nd.Key)
+			ob := failover(r.home(nd.Key), nd.Key, oldLive, oldSurv)
+			oa := r.owner(nd.Key)
 			if ob == oa {
 				continue
 			}
 			src := ob
-			if !er.live[src] {
-				src = er.nextLive(src)
+			if !r.live[src] {
+				src = r.nextLive(src)
 			}
 			if src != oa {
 				move[src][oa] += int64(nd.D1 + nd.D2)
 			}
 		}
-		mx := er.exchangeNow(move)
+		mx := r.exchangeNow(move)
 		if mx.TotalBytes > 0 {
-			er.exchangedBytes += mx.TotalBytes
-			er.res.RepartitionBytes += mx.TotalBytes
-			er.stall(telemetry.SpanRepartition, resume, mx.Cycles, mx.TotalBytes, &er.exchange)
+			r.exchangedBytes += mx.TotalBytes
+			r.res.RepartitionBytes += mx.TotalBytes
+			r.stall(telemetry.SpanRepartition, resume, mx.Cycles, mx.TotalBytes, &r.exchange)
 		}
 	}
 
 	// The old ring describes the dead membership; replace it with a free
 	// baseline at the resume point (the state is already in memory), so a
 	// later loss restores here instead of replaying from scratch.
-	blob, err := er.snapshot(resume)
+	blob, err := r.checkpoint(resume)
 	if err != nil {
 		return 0, err
 	}
-	er.ring = er.ring[:0]
-	er.ring = append(er.ring, ringEntry{iter: resume, blob: blob})
-	er.res.Recoveries++
+	r.ring = append(r.ring[:0], ringEntry{iter: resume, blob: blob})
+	r.res.Recoveries++
 	return resume, nil
 }
 
 // rollback restores every node to the checkpoint state at iteration
 // resume: survivors continue from there, casualties stay frozen at their
-// own last committed iteration. The discarded durations and logical
-// traffic counters are rewound; the phase clock is not (lost time is the
-// recovery overhead).
-func (er *elasticRun) rollback(ck *CheckpointState, resume int) error {
-	for i, t := range er.traces {
-		if ck == nil {
-			er.traces[i] = &trace.Trace{K: er.tr.K}
-		} else if len(t.Iterations) > resume {
-			t.Iterations = t.Iterations[:resume]
-		}
-	}
-	if err := er.loadEngines(er.traces, ck); err != nil {
+// own last committed iteration. The discarded durations, sharded
+// iterations and logical traffic counters are rewound; the phase clock is
+// not (lost time is the recovery overhead).
+func (r *runtime) rollback(ck *CheckpointState, resume int) error {
+	r.st.truncate(resume)
+	if err := r.loadEngines(r.st.Traces, ck); err != nil {
 		return err
 	}
+	r.st.LocalTNs, r.st.RemoteTNs, r.st.HaloBytes = 0, 0, 0
 	if ck != nil {
-		er.localTNs = ck.Elastic.LocalTNs
-		er.remoteTNs = ck.Elastic.RemoteTNs
-		er.haloBytes = ck.Elastic.HaloBytes
-	} else {
-		er.localTNs, er.remoteTNs, er.haloBytes = 0, 0, 0
+		r.st.LocalTNs, r.st.RemoteTNs, r.st.HaloBytes = ck.Elastic.LocalTNs, ck.Elastic.RemoteTNs, ck.Elastic.HaloBytes
 	}
 	return nil
-}
-
-// shardRange splits global iterations [from, to) under the current
-// membership, appending each live node's sub-iterations to its trace and
-// accumulating the committed traffic counters; it returns the halo
-// matrices.
-func (er *elasticRun) shardRange(from, to int) [][][]int64 {
-	halos := make([][][]int64, to-from)
-	for j := range halos {
-		it := from + j
-		halos[j] = mat(er.n)
-		subs, l, r, hb := shardIteration(&er.tr.Iterations[it], er.n, er.ownerOf, halos[j])
-		er.localTNs += l
-		er.remoteTNs += r
-		er.haloBytes += hb
-		for o, t := range er.traces {
-			if !er.live[o] {
-				continue
-			}
-			if it == 0 {
-				t.Quantiles = subs[o].Quantiles
-			}
-			t.Iterations = append(t.Iterations, subs[o])
-		}
-	}
-	return halos
-}
-
-// runBSP is the elastic BSP discipline: golden supersteps over the live
-// membership, with fault boundaries, periodic captures and recoveries
-// spliced between them. Fault-free it reproduces the legacy BSP schedule
-// plus the checkpoint stalls. Supersteps advance in pre-stepped chunks
-// (core.chunk) that never cross a capture boundary; a fault boundary
-// inside a chunk stays conservative because a recovery rolls engines,
-// durations, traces and counters back wholesale (rollback). The only
-// chunk state with no superstep-at-a-time counterpart is the un-placed
-// telemetry of iterations pre-stepped past the detection boundary, which
-// is dropped (dropBuffered) before the recovery records its own spans.
-func (er *elasticRun) runBSP() error {
-	k := er.chunk()
-	it := 0
-	for {
-		cont, err := er.boundary(it)
-		if err != nil {
-			return err
-		}
-		if cont >= 0 {
-			it = cont
-			continue
-		}
-		if it == er.iters {
-			return nil
-		}
-		if er.captureDue(it) {
-			if err := er.capture(it); err != nil {
-				return err
-			}
-		}
-		end := min(it+k, er.segmentEnd(it))
-		halos := er.shardRange(it, end)
-		er.prestep(it, end)
-		for j := it; j < end; j++ {
-			if j > it {
-				if er.pr != nil && er.pendingLoss() {
-					for i := 0; i < er.n; i++ {
-						if er.live[i] {
-							er.pr.dropBuffered(i, j)
-						}
-					}
-				}
-				if cont, err = er.boundary(j); err != nil {
-					return err
-				}
-				if cont >= 0 {
-					break
-				}
-			}
-			er.superstep(j, halos[j-it])
-		}
-		if cont >= 0 {
-			it = cont
-		} else {
-			it = end
-		}
-	}
-}
-
-// runOverlapped is the elastic overlapped discipline: the event-driven
-// halo-streaming schedule runs in segments bounded by checkpoint
-// boundaries (a coordinated checkpoint is a global synchronization, so a
-// link barrier + sync barrier close each segment). A segment is executed
-// speculatively; if a node loss lands inside it, the segment's recording
-// is rewound, the committed window up to the detection boundary is
-// charged as compute (the simplification: an overlapped window does not
-// decompose further once discarded), and the shared recovery path takes
-// over. With CheckpointEvery == 0 the whole phase is one segment and a
-// fault-free run reproduces the legacy overlapped schedule exactly.
-func (er *elasticRun) runOverlapped() error {
-	it := 0
-	for {
-		cont, err := er.boundary(it)
-		if err != nil {
-			return err
-		}
-		if cont >= 0 {
-			it = cont
-			continue
-		}
-		if it == er.iters {
-			return nil
-		}
-		if it > 0 {
-			er.barriers(it - 1)
-		}
-		if er.captureDue(it) {
-			if err := er.capture(it); err != nil {
-				return err
-			}
-		}
-		end := er.segmentEnd(it)
-
-		var marks probeMark
-		if er.pr != nil {
-			marks = er.pr.mark()
-		}
-		seg := er.overlap(it, end, er.shardRange(it, end), er.now(), it)
-
-		// A loss inside the segment window invalidates it: rewind the
-		// speculative recording, commit the window up to the detection
-		// boundary as compute, and recover.
-		var fc sim.Cycle = -1
-		for _, ev := range er.events[er.nextEvent:] {
-			if ev.Cycle > er.now()+seg.makespan {
-				break
-			}
-			if ev.Kind == fault.NodeLoss {
-				fc = ev.Cycle
-				break
-			}
-		}
-		if fc >= 0 {
-			bj := -1
-			for j := range seg.boundary {
-				if er.now()+seg.boundary[j] >= fc {
-					bj = j
-					break
-				}
-			}
-			if bj >= 0 {
-				if er.pr != nil {
-					er.pr.rewind(marks)
-				}
-				er.commit(&segOutcome{compute: seg.boundary[bj], makespan: seg.boundary[bj]}, int64(it))
-				cont, err := er.boundary(it + bj + 1)
-				if err != nil {
-					return err
-				}
-				if cont >= 0 {
-					it = cont
-					continue
-				}
-				return fmt.Errorf("scaleout: fault at cycle %d detected but not consumed", fc)
-			}
-			// The loss lands past the segment's last iteration boundary:
-			// commit the segment and let the next boundary pass detect it.
-		}
-		er.commit(seg, int64(it))
-		it = end
-	}
 }

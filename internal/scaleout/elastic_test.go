@@ -1,6 +1,8 @@
 package scaleout
 
 import (
+	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -24,13 +26,24 @@ func conserved(res *Result) (nmpTot, cpuTot int64) {
 	return
 }
 
+// chromeBytes exports a collector's Chrome trace.
+func chromeBytes(t *testing.T, c *telemetry.Collector) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := c.WriteChrome(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // A dormant fault plan (events scheduled far past the end of the run) and
-// no checkpoint cadence routes the run through the elastic runtime but
-// changes nothing: the result must be identical to the legacy runtime's,
-// field for field, in both disciplines. Explicit worker counts put both
-// the superstep-at-a-time and the pre-stepped BSP loop, and both branches
-// of the overlapped segment scheduler (lazy and windowed), under each of
-// their two callers on any host.
+// no checkpoint cadence puts the run on the elastic protocol — live mask,
+// failover owner, degradable network — but changes nothing: the result
+// must be identical to the fault-free run's, field for field, and so must
+// the Chrome trace, byte for byte, in both disciplines. Explicit worker
+// counts put both the superstep-at-a-time and the pre-stepped BSP loop,
+// and both branches of the overlapped segment scheduler (lazy and
+// windowed), under test on any host.
 func TestElasticDormantPlanMatchesGolden(t *testing.T) {
 	reads := testReads(t, 20_000)
 	tr := testTrace(t, reads, 32, 3)
@@ -39,14 +52,21 @@ func TestElasticDormantPlanMatchesGolden(t *testing.T) {
 			cfg := DefaultConfig(4)
 			cfg.Overlap = overlap
 			cfg.Workers = workers
+			cfg.Telemetry = telemetry.New()
 			want, err := Simulate(reads, tr, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			wantTrace := chromeBytes(t, cfg.Telemetry)
 			cfg.Faults = fault.NodeLossAt(1, 1<<40, 500)
+			cfg.Telemetry = telemetry.New()
 			got, err := Simulate(reads, tr, cfg)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if !bytes.Equal(chromeBytes(t, cfg.Telemetry), wantTrace) {
+				t.Errorf("workers=%d overlap=%v: elastic run with a dormant plan records a different Chrome trace from golden",
+					workers, overlap)
 			}
 			if got.FaultsInjected != 0 || got.NodesLost != 0 || got.Recoveries != 0 {
 				t.Fatalf("workers=%d overlap=%v: dormant plan injected %d faults, lost %d nodes",
@@ -313,6 +333,8 @@ func TestElasticValidation(t *testing.T) {
 	}{
 		{"negative cadence", mk(func(c *Config) { c.CheckpointEvery = -1 }), "CheckpointEvery"},
 		{"negative rate", mk(func(c *Config) { c.CheckpointBytesPerCycle = -1 }), "CheckpointBytesPerCycle"},
+		{"NaN rate", mk(func(c *Config) { c.CheckpointEvery, c.CheckpointBytesPerCycle = 1, math.NaN() }), "CheckpointBytesPerCycle"},
+		{"infinite rate", mk(func(c *Config) { c.CheckpointEvery, c.CheckpointBytesPerCycle = 1, math.Inf(1) }), "CheckpointBytesPerCycle"},
 		{"rebalance", mk(func(c *Config) {
 			c.Partitioner = NewRebalancePartitioner(12, 2)
 			c.CheckpointEvery = 2

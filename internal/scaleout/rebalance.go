@@ -9,7 +9,8 @@
 // cost is out of proportion to their k-mer mass, drift as compaction
 // drains the graph). Migration is not free: every MacroNode whose bucket
 // moves is charged over the interconnect at its traced size before the
-// next iteration begins.
+// next iteration begins. In the runtime (runtime.go) the bucket table is
+// the run's owner, and migrate and measure are its migration hook.
 package scaleout
 
 import (
@@ -19,7 +20,6 @@ import (
 	"nmppak/internal/dna"
 	"nmppak/internal/sim"
 	"nmppak/internal/telemetry"
-	"nmppak/internal/topo"
 	"nmppak/internal/trace"
 )
 
@@ -177,19 +177,14 @@ func (p *RebalancePartitioner) migrate(table []uint16, cum, dur []sim.Cycle, wei
 	return moved
 }
 
-// rebalanceRun is the dynamic-ownership compaction driver, advanced
-// iteration range by iteration range: Simulate drives it start to finish,
-// while Checkpoint and Session stop at any boundary, snapshot the mutable
-// state (ownership table, measured busy times, bucket weights, engines,
-// accounting) and later rebuild an equivalent run that finishes
-// bit-identically.
-type rebalanceRun struct {
-	core
-	tr *trace.Trace
+// rebalancer is the migrating-ownership state of a run under a
+// RebalancePartitioner: the bucket table the runtime's owner reads, and
+// the measurements the next migration decision reads. Everything in it
+// is checkpointed (RebalanceState), so a restored run migrates exactly as
+// the uninterrupted one.
+type rebalancer struct {
 	p  *RebalancePartitioner
 	k1 int
-
-	traces []*trace.Trace
 
 	table []uint16 // bucket -> owning node (mutated by migrations)
 	// iterBytes[it] is the global traced MacroNode bytes remaining from
@@ -202,29 +197,17 @@ type rebalanceRun struct {
 	cum     []sim.Cycle // measured cumulative busy time
 	weight  []int64     // previous iteration's per-bucket bytes
 	prev    []uint16    // scratch: ownership before the last migration
-
-	localTNs, remoteTNs, haloBytes int64
-	rebalances                     int
-	migratedBytes                  int64
 }
 
-// newRebalanceRun prepares a dynamic-ownership run: at iteration 0 under
-// the static initial assignment, or — with a non-nil ck — at the blob's
-// pause point. A restored run's per-node sub-traces of the executed
-// iterations are empty placeholders (a resumed engine never reads behind
-// its cursor); only the iteration-0 quantile tables — the engines' static
-// DIMM mapping option — are rebuilt, by re-sharding iteration 0 under the
-// initial assignment the run started from.
-func newRebalanceRun(tr *trace.Trace, net topo.Network, cfg Config, p *RebalancePartitioner, ck *CheckpointState) (*rebalanceRun, error) {
+// newRebalancer starts from the static initial assignment.
+func newRebalancer(tr *trace.Trace, p *RebalancePartitioner, n int) *rebalancer {
 	iters := len(tr.Iterations)
-	rr := &rebalanceRun{
-		core: newCore(cfg, net, iters),
-		tr:   tr, p: p, k1: tr.K - 1,
-		traces:    make([]*trace.Trace, cfg.Nodes),
+	rb := &rebalancer{
+		p: p, k1: tr.K - 1,
 		table:     make([]uint16, BalancedBuckets),
 		iterBytes: make([]float64, iters+1),
-		lastDur:   make([]sim.Cycle, cfg.Nodes),
-		cum:       make([]sim.Cycle, cfg.Nodes),
+		lastDur:   make([]sim.Cycle, n),
+		cum:       make([]sim.Cycle, n),
 		weight:    make([]int64, BalancedBuckets),
 		prev:      make([]uint16, BalancedBuckets),
 	}
@@ -234,169 +217,84 @@ func newRebalanceRun(tr *trace.Trace, net topo.Network, cfg Config, p *Rebalance
 			nd := &tr.Iterations[it].Nodes[i]
 			b += float64(nd.D1 + nd.D2)
 		}
-		rr.iterBytes[it] = b + rr.iterBytes[it+1]
+		rb.iterBytes[it] = b + rb.iterBytes[it+1]
 	}
-	for b := range rr.table {
-		rr.table[b] = uint16(initialOwner(b, rr.n))
+	for b := range rb.table {
+		rb.table[b] = uint16(initialOwner(b, n))
 	}
-	resume := 0
-	if ck != nil {
-		resume = ck.ResumeIter
-	}
-	var quantiles []trace.Iteration
-	if resume > 0 && iters > 0 {
-		quantiles, _, _, _ = shardIteration(&tr.Iterations[0], rr.n, rr.ownerOf, mat(rr.n))
-	}
-	for i := range rr.traces {
-		rr.traces[i] = &trace.Trace{K: tr.K, Iterations: make([]trace.Iteration, resume)}
-		if quantiles != nil {
-			rr.traces[i].Quantiles = quantiles[i].Quantiles
-		}
-	}
-	if err := rr.loadEngines(rr.traces, ck); err != nil {
-		return nil, err
-	}
-	if ck != nil {
-		rs := ck.Rebalance
-		copy(rr.table, rs.Table)
-		copy(rr.cum, rs.Cum)
-		copy(rr.lastDur, rs.LastDur)
-		copy(rr.weight, rs.Weight)
-		rr.localTNs, rr.remoteTNs, rr.haloBytes = rs.LocalTNs, rs.RemoteTNs, rs.HaloBytes
-		rr.rebalances, rr.migratedBytes = rs.Rebalances, rs.MigratedBytes
-		rr.resumeBSP(ck)
-	}
-	return rr, nil
+	return rb
 }
 
-// migrateAt runs the iteration-it migration decision against the
-// measurements accumulated so far and, when buckets move, prices the
-// transfer over the network.
+// owner resolves a key under the current ownership table.
+func (rb *rebalancer) owner(key dna.Kmer) int {
+	return int(rb.table[rb.p.bucket(key, rb.k1)])
+}
+
+// restore loads the migrated table and the measurements from a blob.
+func (rb *rebalancer) restore(rs *RebalanceState) {
+	copy(rb.table, rs.Table)
+	copy(rb.cum, rs.Cum)
+	copy(rb.lastDur, rs.LastDur)
+	copy(rb.weight, rs.Weight)
+}
+
+// migrate is the migration hook at the boundary before iteration it:
+// every Every iterations on a multi-node machine it re-fits ownership to
+// the measured busy times and, when buckets move, prices the transfer
+// over the network (straggler -> new owner). The decision is itself a
+// global synchronization, so the BSP barrier it needs is already there.
 //
 // Every live MacroNode appears in its iteration's trace (P1 visits the
 // full live population each iteration), so pricing the move off
 // iter.Nodes charges every node a bucket move relocates; a migration
 // that moves only drained buckets (no live nodes left) is a no-op and
 // is not counted.
-func (rr *rebalanceRun) migrateAt(it int) {
-	iter := &rr.tr.Iterations[it]
-	copy(rr.prev, rr.table)
-	lastBytes := rr.iterBytes[it-1] - rr.iterBytes[it]
-	decay := 0.0
-	if lastBytes > 0 {
-		decay = rr.iterBytes[it] / lastBytes
-	}
-	if !rr.p.migrate(rr.table, rr.cum, rr.lastDur, rr.weight, decay, rr.n) {
+func (r *runtime) migrate(it int) {
+	rb := r.rb
+	if rb == nil || it == 0 || it%rb.p.Every != 0 || r.n == 1 {
 		return
 	}
-	move := mat(rr.n)
+	iter := &r.tr.Iterations[it]
+	copy(rb.prev, rb.table)
+	lastBytes := rb.iterBytes[it-1] - rb.iterBytes[it]
+	decay := 0.0
+	if lastBytes > 0 {
+		decay = rb.iterBytes[it] / lastBytes
+	}
+	if !rb.p.migrate(rb.table, rb.cum, rb.lastDur, rb.weight, decay, r.n) {
+		return
+	}
+	move := mat(r.n)
 	for i := range iter.Nodes {
 		nd := &iter.Nodes[i]
-		b := rr.p.bucket(nd.Key, rr.k1)
-		if rr.prev[b] != rr.table[b] {
-			move[rr.prev[b]][rr.table[b]] += int64(nd.D1 + nd.D2)
+		b := rb.p.bucket(nd.Key, rb.k1)
+		if rb.prev[b] != rb.table[b] {
+			move[rb.prev[b]][rb.table[b]] += int64(nd.D1 + nd.D2)
 		}
 	}
-	mx := rr.exchangeNow(move)
+	mx := r.exchangeNow(move)
 	if mx.TotalBytes > 0 {
-		rr.exchangedBytes += mx.TotalBytes
-		rr.migratedBytes += mx.TotalBytes
-		rr.rebalances++
-		rr.stall(telemetry.SpanMigration, it, mx.Cycles, mx.TotalBytes, &rr.exchange)
+		r.exchangedBytes += mx.TotalBytes
+		r.res.MigratedBytes += mx.TotalBytes
+		r.res.Rebalances++
+		r.stall(telemetry.SpanMigration, it, mx.Cycles, mx.TotalBytes, &r.exchange)
 	}
 }
 
-// shard slices iteration it across the nodes under the current ownership
-// table: the halo matrix is returned, the per-node sub-iterations are
-// appended to the node traces and the traffic counters accumulate.
-func (rr *rebalanceRun) shard(it int) [][]int64 {
-	halo := mat(rr.n)
-	subs, l, r, hb := shardIteration(&rr.tr.Iterations[it], rr.n, rr.ownerOf, halo)
-	rr.localTNs += l
-	rr.remoteTNs += r
-	rr.haloBytes += hb
-	for o := 0; o < rr.n; o++ {
-		if it == 0 {
-			rr.traces[o].Quantiles = subs[o].Quantiles
-		}
-		rr.traces[o].Iterations = append(rr.traces[o].Iterations, subs[o])
+// measure records superstep it's measured busy times and per-bucket
+// bytes for the next migration decision.
+func (r *runtime) measure(it int) {
+	rb := r.rb
+	if rb == nil {
+		return
 	}
-	return halo
-}
-
-// refreshWeights rebuilds the per-bucket bytes that attribute iteration
-// it's measured time for the next migration decision.
-func (rr *rebalanceRun) refreshWeights(it int) {
-	clear(rr.weight)
-	for i := range rr.tr.Iterations[it].Nodes {
-		nd := &rr.tr.Iterations[it].Nodes[i]
-		rr.weight[rr.p.bucket(nd.Key, rr.k1)] += int64(nd.D1 + nd.D2)
+	for i := range rb.lastDur {
+		rb.lastDur[i] = r.durations[i][it]
+		rb.cum[i] += rb.lastDur[i]
 	}
-}
-
-// advance executes iterations [next, to): between iterations, re-fit
-// ownership to the measured busy times and charge the moved MacroNodes
-// over the network (straggler -> new owner); then shard each iteration
-// under the current table, step every engine, price the superstep and
-// refresh the measurement state the next migration decision reads. The
-// table is frozen between migrations, so a chunk of iterations up to the
-// next migration point is sharded and pre-stepped at once.
-func (rr *rebalanceRun) advance(to int) {
-	k := rr.chunk()
-	halos := make([][][]int64, 0, k)
-	for it := rr.next; it < to; {
-		if it > 0 && it%rr.p.Every == 0 && rr.n > 1 {
-			rr.migrateAt(it)
-		}
-		end := min(it+k, (it/rr.p.Every+1)*rr.p.Every, to)
-		halos = halos[:0]
-		for j := it; j < end; j++ {
-			halos = append(halos, rr.shard(j))
-		}
-		rr.prestep(it, end)
-		for j := it; j < end; j++ {
-			rr.superstep(j, halos[j-it])
-			for i := range rr.lastDur {
-				rr.lastDur[i] = rr.durations[i][j]
-				rr.cum[i] += rr.lastDur[i]
-			}
-			rr.refreshWeights(j)
-		}
-		it = end
+	clear(rb.weight)
+	for i := range r.tr.Iterations[it].Nodes {
+		nd := &r.tr.Iterations[it].Nodes[i]
+		rb.weight[rb.p.bucket(nd.Key, rb.k1)] += int64(nd.D1 + nd.D2)
 	}
-	rr.next = to
-}
-
-// ownerOf resolves a key under the current ownership table.
-func (rr *rebalanceRun) ownerOf(key dna.Kmer) int {
-	return int(rr.table[rr.p.bucket(key, rr.k1)])
-}
-
-// snapshot records the engines, partial sums, migrated ownership and
-// measurement state on a checkpoint.
-func (rr *rebalanceRun) snapshot(ck *CheckpointState) error {
-	ck.Rebalance = &RebalanceState{
-		Table:         append([]uint16(nil), rr.table...),
-		Cum:           append([]sim.Cycle(nil), rr.cum...),
-		LastDur:       append([]sim.Cycle(nil), rr.lastDur...),
-		Weight:        append([]int64(nil), rr.weight...),
-		LocalTNs:      rr.localTNs,
-		RemoteTNs:     rr.remoteTNs,
-		HaloBytes:     rr.haloBytes,
-		Rebalances:    rr.rebalances,
-		MigratedBytes: rr.migratedBytes,
-	}
-	return rr.core.snapshot(ck)
-}
-
-// finish executes the remaining supersteps (the migration decision is
-// itself a global synchronization, so the BSP barrier it needs is
-// already there) and seals the run.
-func (rr *rebalanceRun) finish(res *Result) *compactOutcome {
-	rr.advance(rr.iters)
-	res.HaloBytes = rr.haloBytes
-	res.RemoteTNFrac = remoteTNFrac(rr.localTNs, rr.remoteTNs)
-	res.Rebalances = rr.rebalances
-	res.MigratedBytes = rr.migratedBytes
-	return rr.outcome()
 }

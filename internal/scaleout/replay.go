@@ -29,9 +29,8 @@ type ShardedTrace struct {
 // visits, local transfers and updates of the keys each node owns, while
 // cross-node TransferNode bytes accumulate into halo[src][dst]. The
 // returned counters split transfers into local and remote; haloBytes is
-// the remote payload total. This is the unit of work ShardTrace applies
-// to every iteration at once and the rebalancing runtime applies one
-// iteration at a time, between migrations.
+// the remote payload total. ShardedTrace.extend applies it to every
+// iteration it shards.
 func shardIteration(iter *trace.Iteration, n int, ownerOf func(dna.Kmer) int, halo [][]int64) (subs []trace.Iteration, localTNs, remoteTNs, haloBytes int64) {
 	owner := make([]int, len(iter.Nodes))
 	local := make([]int32, len(iter.Nodes))
@@ -74,30 +73,51 @@ func shardIteration(iter *trace.Iteration, n int, ownerOf func(dna.Kmer) int, ha
 // and quantile tables), which is what pins the N=1 scale-out result to the
 // single-node nmp.Simulate outcome.
 func ShardTrace(tr *trace.Trace, n int, p Partitioner) *ShardedTrace {
+	st := newShardedTrace(tr, n)
 	k1 := tr.K - 1
-	st := &ShardedTrace{
-		Nodes:  n,
-		Traces: make([]*trace.Trace, n),
-		Halo:   make([][][]int64, len(tr.Iterations)),
-	}
+	st.extend(tr, len(tr.Iterations), func(key dna.Kmer) int { return p.Owner(key, k1, n) })
+	return st
+}
+
+// newShardedTrace returns an n-way split of tr with no iteration sharded
+// yet.
+func newShardedTrace(tr *trace.Trace, n int) *ShardedTrace {
+	st := &ShardedTrace{Nodes: n, Traces: make([]*trace.Trace, n)}
 	for i := range st.Traces {
 		st.Traces[i] = &trace.Trace{K: tr.K}
 	}
-	ownerOf := func(key dna.Kmer) int { return p.Owner(key, k1, n) }
-	for it := range tr.Iterations {
-		st.Halo[it] = mat(n)
-		subs, l, r, hb := shardIteration(&tr.Iterations[it], n, ownerOf, st.Halo[it])
+	return st
+}
+
+// extend shards tr's iterations [len(st.Halo), to) under ownerOf,
+// appending each node's sub-iterations and each iteration's halo matrix
+// and accumulating the traffic counters. The runtime extends its split
+// one chunk or segment at a time, because a migrating or failing-over
+// owner changes between them; ShardTrace extends over the whole trace.
+func (st *ShardedTrace) extend(tr *trace.Trace, to int, ownerOf func(dna.Kmer) int) {
+	for it := len(st.Halo); it < to; it++ {
+		halo := mat(st.Nodes)
+		subs, l, r, hb := shardIteration(&tr.Iterations[it], st.Nodes, ownerOf, halo)
 		st.LocalTNs += l
 		st.RemoteTNs += r
 		st.HaloBytes += hb
-		for o := 0; o < n; o++ {
+		for o, t := range st.Traces {
 			if it == 0 {
-				st.Traces[o].Quantiles = subs[o].Quantiles
+				t.Quantiles = subs[o].Quantiles
 			}
-			st.Traces[o].Iterations = append(st.Traces[o].Iterations, subs[o])
+			t.Iterations = append(t.Iterations, subs[o])
 		}
+		st.Halo = append(st.Halo, halo)
 	}
-	return st
+}
+
+// truncate drops every sharded iteration from it on (the traffic counters
+// are the caller's to restore).
+func (st *ShardedTrace) truncate(it int) {
+	st.Halo = st.Halo[:it]
+	for _, t := range st.Traces {
+		t.Iterations = t.Iterations[:it]
+	}
 }
 
 // RemoteTNFrac is the fraction of all TransferNodes that cross the

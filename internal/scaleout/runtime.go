@@ -1,23 +1,26 @@
 // The distributed compaction runtime: N stepwise per-node NMP engines
-// (nmp.Engine) and the interconnect composed on one global timeline.
-// Three drivers run the compaction phase — runtime (static ownership),
-// rebalanceRun (migrating ownership, rebalance.go) and elasticRun
-// (checkpoints and faults, elastic.go) — and all of them are built on
-// the one core below, under one of two disciplines:
+// (nmp.Engine) and the interconnect composed on one global timeline. One
+// driver, runtime, runs the compaction phase for every configuration. Its
+// runs differ only in who owns a key at an iteration — the static
+// partitioner, a migrating bucket table (rebalance.go) or a failover hash
+// over the survivors (elastic.go) — and in three boundary hooks, each a
+// no-op when its feature is off: fault events, the periodic capture and
+// the migration decision. It runs one of two disciplines, each with
+// exactly one loop:
 //
 //   - BSP (Config.Overlap == false, the default): every iteration is a
 //     global superstep — all live nodes compute, the slowest paces the
 //     step, the iteration's halo exchange runs serially on the links, and
 //     a log-tree barrier plus the NMP runtime's own sync barrier close the
 //     step. This reproduces the original aggregation model cycle for
-//     cycle (TestGoldenEquivalence pins it). Each driver has exactly one
-//     BSP loop: pre-step a chunk of iterations on the worker pool
-//     (core.prestep), then price each superstep of the chunk in order
-//     from the recorded durations (core.superstep). Supersteps are
-//     barrier-synchronized, so every iteration boundary is a horizon and
-//     the chunk length is free: core.chunk is Config.PrestepDepth with a
-//     real worker pool on a multi-node machine and 1 otherwise, the
-//     superstep-at-a-time reference order.
+//     cycle (TestGoldenEquivalence pins it). The loop (runtime.bsp)
+//     pre-steps a chunk of iterations on the worker pool (core.prestep),
+//     then prices each superstep of the chunk in order from the recorded
+//     durations (core.superstep). Supersteps are barrier-synchronized, so
+//     every iteration boundary is a horizon and the chunk length is free:
+//     core.chunk is Config.PrestepDepth with a real worker pool on a
+//     multi-node machine and 1 otherwise, the superstep-at-a-time
+//     reference order; a chunk never crosses a hook boundary.
 //   - Overlapped (Config.Overlap == true): a node that finishes iteration
 //     i immediately streams its outgoing halo bytes while lagging nodes
 //     are still computing, and only the dependent work waits — node j may
@@ -25,10 +28,10 @@
 //     the local sync barrier and (b) every iteration-i halo message
 //     destined to j has been delivered. There is no global barrier; halo
 //     messages route hop-by-hop through the same contended topology links
-//     (topo.Flight) that price topo.Exchange. One segment scheduler
-//     (core.overlap, runtime_parallel.go) builds this event schedule for
-//     both the runtime (one segment over the whole phase) and the elastic
-//     runtime (one segment per checkpoint interval).
+//     (topo.Flight) that price topo.Exchange. The loop
+//     (runtime.overlapped) runs one segment of this event schedule
+//     (core.overlap, runtime_parallel.go) per stretch between capture
+//     boundaries — a single segment when nothing is captured.
 //
 // In both modes each engine advances on its local back-to-back clock
 // (identical to nmp.Simulate), so per-iteration durations — and therefore
@@ -39,6 +42,9 @@
 package scaleout
 
 import (
+	"fmt"
+
+	"nmppak/internal/dna"
 	"nmppak/internal/nmp"
 	"nmppak/internal/par"
 	"nmppak/internal/sim"
@@ -57,13 +63,13 @@ type compactOutcome struct {
 	Durations [][]sim.Cycle
 }
 
-// core is the state and machinery every compaction driver shares: the
-// per-node engines with their recorded durations, the telemetry glue, and
-// the phase clock. Accounting invariant: compute + exchange + barrier is
-// the compaction-phase clock at every iteration boundary — halo exchanges
-// and migrations in exchange, link and sync barriers (and the elastic
-// runtime's protocol stalls) in barrier, with the barrier bucket's
-// interconnect share tracked in linkBarrier.
+// core is the ownership-independent half of the runtime: the per-node
+// engines with their recorded durations, the telemetry glue, and the
+// phase clock. Accounting invariant: compute + exchange + barrier is the
+// compaction-phase clock at every iteration boundary — halo exchanges and
+// migrations in exchange, link and sync barriers (and the elastic
+// protocol's stalls) in barrier, with the barrier bucket's interconnect
+// share tracked in linkBarrier.
 type core struct {
 	cfg      Config
 	net      topo.Network
@@ -262,14 +268,6 @@ func (c *core) superstep(it int, halo [][]int64) {
 	}
 }
 
-// snapshot records the executed durations, the engine snapshots and the
-// BSP partial sums on a checkpoint.
-func (c *core) snapshot(ck *CheckpointState) error {
-	ck.Compute, ck.Exchange = c.compute, c.exchange
-	ck.CompactExchangedBytes = c.exchangedBytes
-	return snapshotInto(ck, c.durations, c.engines)
-}
-
 // outcome seals the engines and reports the phase as accounted so far.
 func (c *core) outcome() *compactOutcome {
 	out := &compactOutcome{
@@ -285,98 +283,220 @@ func (c *core) outcome() *compactOutcome {
 	return out
 }
 
-// driver is a fixed-membership compaction runtime — runtime or
-// rebalanceRun — as Simulate, Checkpoint, Restore and Session drive it:
-// advanced boundary by boundary, snapshotted at any boundary, finished
-// into a Result.
-type driver interface {
-	base() *core
-	setProbes(pr *probes)
-	// advance executes iterations [next, to).
-	advance(to int)
-	snapshot(ck *CheckpointState) error
-	// finish executes the remaining iterations, records the run's
-	// traffic accounting on res and returns the sealed outcome.
-	finish(res *Result) *compactOutcome
-}
-
-func (c *core) base() *core { return c }
-
-// newDriver builds the fixed-membership runtime cfg selects, at
-// iteration 0 — or, with a non-nil ck, at the blob's pause point.
-func newDriver(tr *trace.Trace, net topo.Network, cfg Config, ck *CheckpointState) (driver, error) {
-	if rp, ok := cfg.Partitioner.(*RebalancePartitioner); ok {
-		rr, err := newRebalanceRun(tr, net, cfg, rp, ck)
-		if err != nil {
-			return nil, err
-		}
-		return rr, nil
-	}
-	rt, err := newRuntime(ShardTrace(tr, cfg.Nodes, cfg.Partitioner), net, cfg, ck)
-	if err != nil {
-		return nil, err
-	}
-	return rt, nil
-}
-
-// runtime is the static-ownership driver: the shard schedule is fixed up
-// front (ShardTrace), so the halo matrices are too.
+// runtime is the compaction driver. What distinguishes one run from
+// another is who owns a key at an iteration, and that is picked once, at
+// construction, as owner: the partitioner's static owner, the migrating
+// bucket table of a RebalancePartitioner (rebalance.go) and — under an
+// elastic configuration — either one wrapped in the failover hash over
+// the survivors (elastic.go). The sharded trace grows chunk by chunk
+// under that owner, and the two loops below call three boundary hooks,
+// each a no-op when its feature is off: fault events (faults), the
+// periodic capture (capture) and the migration decision (migrate).
 type runtime struct {
 	core
+	tr  *trace.Trace
+	res *Result // the prelude outcome: blob header and run accounting
+
+	owner func(dna.Kmer) int
+	// st holds the per-node sub-traces, halo matrices and traffic of the
+	// iterations sharded so far (len(st.Halo) of them).
 	st *ShardedTrace
+
+	rb       *rebalancer // nil unless the partitioner migrates
+	recovery             // elastic state; zero unless cfg.elastic()
+
+	digested            bool // cfgDigest/trDigest computed (first capture)
+	cfgDigest, trDigest uint64
 }
 
-// newRuntime builds the runtime at iteration 0, or at a checkpoint's
-// pause point with restored engines and recorded durations — plus, for
-// BSP, the partial sums. An overlapped restore replays its whole
-// macro-schedule from the recorded durations instead.
-func newRuntime(st *ShardedTrace, net topo.Network, cfg Config, ck *CheckpointState) (*runtime, error) {
-	rt := &runtime{core: newCore(cfg, net, len(st.Traces[0].Iterations)), st: st}
-	if err := rt.loadEngines(st.Traces, ck); err != nil {
+// newRuntime builds the compaction driver at iteration 0 or — with a
+// non-nil ck — at an external blob's pause point, reporting into the
+// prelude Result res. A restore re-shards the executed prefix under the
+// ownership the run started from: sharding is a pure function of the key
+// for a static partitioner, and for a migrating one the prefix yields the
+// iteration-0 quantile tables the engines' DIMM mapping reads (the
+// prefix's sub-iterations are never read again — a resumed engine never
+// looks behind its cursor — and its traffic comes from the blob).
+func newRuntime(tr *trace.Trace, net topo.Network, cfg Config, res *Result, ck *CheckpointState) (*runtime, error) {
+	r := &runtime{core: newCore(cfg, net, len(tr.Iterations)), tr: tr, res: res, st: newShardedTrace(tr, cfg.Nodes)}
+	k1, n, p := tr.K-1, cfg.Nodes, cfg.Partitioner
+	r.owner = func(key dna.Kmer) int { return p.Owner(key, k1, n) }
+	if rp, ok := p.(*RebalancePartitioner); ok {
+		r.rb = newRebalancer(tr, rp, n)
+		r.owner = r.rb.owner
+	}
+	if cfg.elastic() {
+		r.startRecovery()
+	}
+	if ck != nil {
+		r.st.extend(tr, ck.ResumeIter, r.owner)
+		if rs := ck.Rebalance; rs != nil {
+			r.rb.restore(rs)
+			r.st.LocalTNs, r.st.RemoteTNs, r.st.HaloBytes = rs.LocalTNs, rs.RemoteTNs, rs.HaloBytes
+			res.Rebalances, res.MigratedBytes = rs.Rebalances, rs.MigratedBytes
+		}
+	}
+	if err := r.loadEngines(r.st.Traces, ck); err != nil {
 		return nil, err
 	}
 	if ck != nil && !cfg.Overlap {
-		rt.resumeBSP(ck)
+		r.resumeBSP(ck)
 	}
-	return rt, nil
+	return r, nil
 }
 
-// advance executes iterations [next, to). An overlapped run only steps
-// the engines here (a checkpoint capture): its restore rebuilds the
-// event-driven schedule from the halo matrices and the recorded
-// durations, so pricing BSP exchanges would be discarded work.
-func (rt *runtime) advance(to int) {
-	if rt.cfg.Overlap {
-		rt.prestep(rt.next, to)
-		rt.next = to
-		return
+// advance executes iterations [next, to), where Checkpoint and
+// Session.Step pause the run. An overlapped run only steps the engines
+// here: its restore replays the whole event schedule from the recorded
+// durations, so pricing it now would be discarded work.
+func (r *runtime) advance(to int) error {
+	if r.cfg.Overlap {
+		r.st.extend(r.tr, to, r.owner)
+		r.prestep(r.next, to)
+		r.next = to
+		return nil
 	}
-	k := rt.chunk()
-	for it := rt.next; it < to; it += k {
-		end := min(it+k, to)
-		rt.prestep(it, end)
-		for j := it; j < end; j++ {
-			rt.superstep(j, rt.st.Halo[j])
-		}
-	}
-	rt.next = to
+	return r.bsp(to)
 }
 
-// run completes the compaction phase under the configured discipline.
-// The overlapped schedule is one segment over the whole phase that
-// replays the iterations a restore already holds durations for.
-func (rt *runtime) run() *compactOutcome {
-	if rt.cfg.Overlap {
-		rt.commit(rt.overlap(0, rt.iters, rt.st.Halo, 0, rt.next), -1)
-		rt.next = rt.iters
+// finish executes the remaining iterations under the configured
+// discipline, reports the run's traffic on res and seals the engines.
+func (r *runtime) finish() (*compactOutcome, error) {
+	var err error
+	if r.cfg.Overlap {
+		err = r.overlapped()
 	} else {
-		rt.advance(rt.iters)
+		err = r.bsp(r.iters)
 	}
-	return rt.outcome()
+	if err != nil {
+		return nil, err
+	}
+	r.res.HaloBytes = r.st.HaloBytes
+	r.res.RemoteTNFrac = r.st.RemoteTNFrac()
+	return r.outcome(), nil
 }
 
-func (rt *runtime) finish(res *Result) *compactOutcome {
-	res.HaloBytes = rt.st.HaloBytes
-	res.RemoteTNFrac = rt.st.RemoteTNFrac()
-	return rt.run()
+// stop is the first hook boundary after iteration it — the next capture
+// or migration point — or the end of the phase. BSP chunks and overlapped
+// segments never cross one.
+func (r *runtime) stop(it int) int {
+	s := r.iters
+	if r.every > 0 {
+		s = min(s, (it/r.every+1)*r.every)
+	}
+	if r.rb != nil {
+		s = min(s, (it/r.rb.p.Every+1)*r.rb.p.Every)
+	}
+	return s
+}
+
+// boundary runs the hooks at the boundary before an iteration the loop
+// is about to execute: the periodic capture, then the migration decision.
+func (r *runtime) boundary(it int) error {
+	if err := r.capture(it); err != nil {
+		return err
+	}
+	r.migrate(it)
+	return nil
+}
+
+// bsp executes iterations [next, to) as BSP supersteps. Every boundary
+// first applies the due fault events; a recovery rewinds the loop to its
+// resume point. At the start of a chunk the capture and migration hooks
+// run, then the chunk — up to min(it+chunk, stop(it), to) — is sharded
+// and pre-stepped on the worker pool, and each superstep is priced in
+// order from the recorded durations. A fault boundary inside a chunk
+// stays conservative because a recovery rolls engines, durations, traces
+// and counters back wholesale (rollback); the only chunk state with no
+// superstep-at-a-time counterpart is the un-placed telemetry of the
+// iterations pre-stepped past it, dropped before the recovery records
+// its own spans.
+func (r *runtime) bsp(to int) error {
+	it, end := r.next, r.next // iterations [it, end) are pre-stepped
+	for {
+		if it < end {
+			r.dropPrestepped(it)
+		}
+		resume, err := r.faults(it)
+		if err != nil {
+			return err
+		}
+		if resume >= 0 {
+			it, end = resume, resume
+			continue
+		}
+		if it == to {
+			break
+		}
+		if it == end {
+			if err := r.boundary(it); err != nil {
+				return err
+			}
+			end = min(it+r.chunk(), r.stop(it), to)
+			r.st.extend(r.tr, end, r.owner)
+			r.prestep(it, end)
+		}
+		r.superstep(it, r.st.Halo[it])
+		r.measure(it)
+		it++
+	}
+	r.next = to
+	return nil
+}
+
+// overlapped executes the whole phase under the overlapped discipline:
+// one event-driven segment (core.overlap) per stretch between hook
+// boundaries, so a run without captures is a single segment. A
+// coordinated capture is a global synchronization, so the link and sync
+// barriers close each segment before the next. A restored run replays
+// the iterations it already holds durations for. A segment runs
+// speculatively: when a node loss lands inside it, its recording is
+// rewound, the window up to the detection boundary is committed as
+// compute (a discarded overlapped window does not decompose further) and
+// the recovery takes over.
+func (r *runtime) overlapped() error {
+	replay := r.next
+	for it := 0; ; {
+		resume, err := r.faults(it)
+		if err != nil {
+			return err
+		}
+		if resume >= 0 {
+			it = resume
+			continue
+		}
+		if it == r.iters {
+			break
+		}
+		if it > 0 {
+			r.barriers(it - 1)
+		}
+		if err := r.boundary(it); err != nil {
+			return err
+		}
+		end := r.stop(it)
+		r.st.extend(r.tr, end, r.owner)
+		var marks probeMark
+		if r.pr != nil {
+			marks = r.pr.mark()
+		}
+		seg := r.overlap(it, end, r.st.Halo[it:end], r.now(), max(it, replay))
+		if bj, fc := r.lossIn(seg); bj >= 0 {
+			if r.pr != nil {
+				r.pr.rewind(marks)
+			}
+			r.commit(&segOutcome{compute: seg.boundary[bj], makespan: seg.boundary[bj]}, int64(it))
+			if it, err = r.faults(it + bj + 1); err != nil {
+				return err
+			}
+			if it < 0 {
+				return fmt.Errorf("scaleout: fault at cycle %d detected but not consumed", fc)
+			}
+			continue
+		}
+		r.commit(seg, int64(it))
+		it = end
+	}
+	r.next = r.iters
+	return nil
 }

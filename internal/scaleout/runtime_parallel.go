@@ -2,8 +2,9 @@
 // driver.
 //
 // core.overlap builds the overlapped discipline's event schedule for
-// iterations [s, e) over the live nodes — the runtime calls it once over
-// the whole phase, the elastic runtime once per checkpoint segment. It
+// iterations [s, e) over the live nodes. Its one caller is the runtime's
+// overlapped loop, once per segment between capture boundaries — the
+// whole phase when nothing is captured. It
 // interleaves two very different kinds of work on one timeline: the heavy
 // per-node engine micro-simulation (core.step — the DRAM/NMP cycle model)
 // and the light macro schedule (halo flights and dependency resolution).

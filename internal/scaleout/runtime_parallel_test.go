@@ -6,21 +6,32 @@ import (
 
 	"nmppak/internal/sim"
 	"nmppak/internal/topo"
+	"nmppak/internal/trace"
 )
 
 // parTestRuntime builds a runtime over a small live trace with the given
 // worker count and overlap discipline.
-func parTestRuntime(t *testing.T, cfg Config, tr *ShardedTrace) *runtime {
+func parTestRuntime(t *testing.T, cfg Config, tr *trace.Trace) *runtime {
 	t.Helper()
 	net, err := cfg.Topo.Build(cfg.Nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := newRuntime(tr, net, cfg, nil)
+	rt, err := newRuntime(tr, net, cfg, &Result{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return rt
+}
+
+// finishRuntime runs rt's remaining iterations and returns the outcome.
+func finishRuntime(t *testing.T, rt *runtime) *compactOutcome {
+	t.Helper()
+	co, err := rt.finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return co
 }
 
 // TestParallelGate pins when pre-stepping engages: with more than one
@@ -47,21 +58,20 @@ func TestParallelGate(t *testing.T) {
 		cfg := DefaultConfig(tc.nodes)
 		cfg.Workers = tc.workers
 		cfg.PrestepDepth = depth
-		st := ShardTrace(tr, tc.nodes, cfg.Partitioner)
 
 		want := 1
 		if tc.parallel {
 			want = depth
 		}
-		rt := parTestRuntime(t, cfg, st)
+		rt := parTestRuntime(t, cfg, tr)
 		if got := rt.chunk(); got != want {
 			t.Errorf("BSP/%d nodes/%d workers: chunk %d, want %d", tc.nodes, tc.workers, got, want)
 		}
-		rt.run()
+		finishRuntime(t, rt)
 
 		cfg.Overlap = true
-		rt = parTestRuntime(t, cfg, st)
-		rt.run()
+		rt = parTestRuntime(t, cfg, tr)
+		finishRuntime(t, rt)
 		if rt.windowed != tc.parallel {
 			t.Errorf("overlap/%d nodes/%d workers: window driver ran = %v, want %v",
 				tc.nodes, tc.workers, rt.windowed, tc.parallel)
@@ -89,9 +99,8 @@ func TestPairLookaheadWidensHorizon(t *testing.T) {
 			cfg.Overlap = true
 			cfg.Workers = 4
 			cfg.Topo = tc
-			st := ShardTrace(tr, nodes, cfg.Partitioner)
-			rt := parTestRuntime(t, cfg, st)
-			rt.run() // fills rt.durations across the whole phase
+			rt := parTestRuntime(t, cfg, tr)
+			finishRuntime(t, rt) // fills rt.durations across the whole phase
 
 			min := rt.net.MinLatency()
 			pair := pairLookahead(rt.net, nodes)
@@ -159,17 +168,16 @@ func TestParallelOutcomeMatchesSerial(t *testing.T) {
 			cfg := DefaultConfig(nodes)
 			cfg.Overlap = true
 			cfg.Topo = tc
-			st := ShardTrace(tr, nodes, cfg.Partitioner)
 
 			scfg := cfg
 			scfg.Workers = 1
-			srt := parTestRuntime(t, scfg, st)
-			want := srt.run()
+			srt := parTestRuntime(t, scfg, tr)
+			want := finishRuntime(t, srt)
 
 			pcfg := cfg
 			pcfg.Workers = 4
-			prt := parTestRuntime(t, pcfg, st)
-			got := prt.run()
+			prt := parTestRuntime(t, pcfg, tr)
+			got := finishRuntime(t, prt)
 			if !prt.windowed {
 				t.Fatal("parallel runtime did not take the windowed path")
 			}
@@ -183,7 +191,6 @@ func TestParallelOutcomeMatchesSerial(t *testing.T) {
 		cfg := DefaultConfig(nodes)
 		cfg.Overlap = true
 		cfg.Topo = topo.Torus(0, 0)
-		st := ShardTrace(tr, nodes, cfg.Partitioner)
 		net, err := cfg.Topo.Build(nodes)
 		if err != nil {
 			t.Fatal(err)
@@ -204,19 +211,19 @@ func TestParallelOutcomeMatchesSerial(t *testing.T) {
 
 		scfg := cfg
 		scfg.Workers = 1
-		srt, err := newRuntime(st, degrade(), scfg, nil)
+		srt, err := newRuntime(tr, degrade(), scfg, &Result{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := srt.run()
+		want := finishRuntime(t, srt)
 
 		pcfg := cfg
 		pcfg.Workers = 4
-		prt, err := newRuntime(st, degrade(), pcfg, nil)
+		prt, err := newRuntime(tr, degrade(), pcfg, &Result{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := prt.run()
+		got := finishRuntime(t, prt)
 		if !prt.windowed {
 			t.Fatal("degraded network should still take the parallel path")
 		}

@@ -155,6 +155,8 @@ func TestConfigValidateErrors(t *testing.T) {
 		{"k too large", func(c *Config) { c.K = 33 }, "K must be"},
 		{"workers", func(c *Config) { c.Workers = -1 }, "Workers"},
 		{"partitioner", func(c *Config) { c.Partitioner = nil }, "Partitioner"},
+		{"nil rebalance partitioner", func(c *Config) { c.Partitioner = (*RebalancePartitioner)(nil) }, "Partitioner"},
+		{"nil balanced partitioner", func(c *Config) { c.Partitioner = (*BalancedPartitioner)(nil) }, "Partitioner"},
 		{"link", func(c *Config) { c.Topo.BytesPerCycle = 0 }, "bandwidth"},
 		{"latency", func(c *Config) { c.Topo.LatencyCycles = -1 }, "latency"},
 		{"torus", func(c *Config) { c.Topo.Kind = topo.Torus2D; c.Topo.TorusX, c.Topo.TorusY = 3, 1 }, "rectangular"},

@@ -34,6 +34,7 @@ package scaleout
 import (
 	"fmt"
 	"math"
+	"reflect"
 
 	"nmppak/internal/dna"
 	"nmppak/internal/fault"
@@ -113,8 +114,9 @@ type Config struct {
 	// into the compaction replay (see internal/fault): node losses trigger
 	// detection + restore + survivor re-partitioning, link events degrade
 	// or cut interconnect channels in place. Either Faults or
-	// CheckpointEvery switches Simulate to the elastic runtime
-	// (elastic.go); with both zero the legacy runtimes run untouched.
+	// CheckpointEvery puts the run on the elastic protocol (elastic.go);
+	// with both zero its hooks never fire and the network stays
+	// unwrapped.
 	Faults *fault.Plan
 	// Telemetry, when non-nil, collects the run's cycle-domain timeline —
 	// per-node iteration/idle/stall spans, link occupancy windows, DRAM
@@ -157,6 +159,9 @@ func (c Config) Validate() error {
 	if c.Partitioner == nil {
 		return fmt.Errorf("scaleout: Partitioner must be set")
 	}
+	if v := reflect.ValueOf(c.Partitioner); v.Kind() == reflect.Pointer && v.IsNil() {
+		return fmt.Errorf("scaleout: Partitioner must be set, got a nil %T", c.Partitioner)
+	}
 	if rp, ok := c.Partitioner.(*RebalancePartitioner); ok {
 		if c.Overlap {
 			return fmt.Errorf("scaleout: RebalancePartitioner requires the BSP discipline (the migration decision is a global synchronization); unset Overlap")
@@ -171,8 +176,8 @@ func (c Config) Validate() error {
 	if c.CheckpointEvery < 0 {
 		return fmt.Errorf("scaleout: CheckpointEvery must be >= 0, got %d", c.CheckpointEvery)
 	}
-	if c.CheckpointBytesPerCycle < 0 {
-		return fmt.Errorf("scaleout: CheckpointBytesPerCycle must be >= 0, got %g", c.CheckpointBytesPerCycle)
+	if bpc := c.CheckpointBytesPerCycle; bpc < 0 || math.IsNaN(bpc) || math.IsInf(bpc, 0) {
+		return fmt.Errorf("scaleout: CheckpointBytesPerCycle must be finite and >= 0, got %g", bpc)
 	}
 	if err := c.Faults.Validate(c.Nodes); err != nil {
 		return fmt.Errorf("scaleout: %w", err)
@@ -203,10 +208,10 @@ func (c Config) depth() int {
 	return c.PrestepDepth
 }
 
-// elastic reports whether the configuration routes the compaction replay
-// through the elastic runtime (elastic.go): periodic checkpointing, a
-// fault plan, or both. False keeps the legacy runtimes byte-for-byte on
-// their existing paths.
+// elastic reports whether the configuration puts the compaction replay on
+// the elastic protocol (elastic.go): periodic checkpointing, a fault
+// plan, or both. False leaves the runtime's recovery state zero — no
+// live mask, no failover, no degradable network wrapper.
 func (c Config) elastic() bool {
 	return c.CheckpointEvery > 0 || !c.Faults.Empty()
 }
@@ -261,8 +266,8 @@ type Result struct {
 	Rebalances    int
 	MigratedBytes int64
 
-	// Elastic-runtime accounting (zero unless CheckpointEvery or Faults
-	// put the run on the elastic runtime — see elastic.go).
+	// Elastic accounting (zero unless CheckpointEvery or Faults put the
+	// run on the elastic protocol — see elastic.go).
 	Checkpoints      int       // periodic checkpoint captures
 	CheckpointBytes  int64     // blob bytes captured
 	CheckpointCycles sim.Cycle // capture stalls charged to the run
@@ -323,20 +328,13 @@ func Simulate(reads []readsim.Read, tr *trace.Trace, cfg Config) (*Result, error
 
 	// Phase 3: compaction replay on the distributed runtime — N stepwise
 	// per-node engines and the interconnect on one shared event timeline,
-	// scheduled BSP or overlapped per cfg.Overlap (see runtime.go). A
-	// RebalancePartitioner switches to the dynamic-ownership runtime
-	// (rebalance.go), which re-shards between iterations.
-	var co *compactOutcome
-	if cfg.elastic() {
-		co, err = runElastic(tr, net, cfg, res, pr)
-	} else {
-		var d driver
-		d, err = newDriver(tr, net, cfg, nil)
-		if err == nil {
-			d.setProbes(pr)
-			co = d.finish(res)
-		}
+	// scheduled BSP or overlapped per cfg.Overlap (see runtime.go).
+	r, err := newRuntime(tr, net, cfg, res, nil)
+	if err != nil {
+		return nil, err
 	}
+	r.setProbes(pr)
+	co, err := r.finish()
 	if err != nil {
 		return nil, err
 	}

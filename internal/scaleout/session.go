@@ -2,16 +2,20 @@
 // surface the multi-tenant fleet scheduler (internal/tenancy) drives.
 //
 // Checkpoint/Restore (checkpoint.go) pause a run exactly once, at one
-// pre-chosen iteration; a Session instead holds the live runtime between
-// iteration boundaries, so a scheduler can interleave "advance one
-// iteration", "how many machine cycles has this job consumed so far",
-// "snapshot it and give the nodes to someone else" and "finish it" in any
-// order. The invariants that make time-slicing exact:
+// pre-chosen iteration; a Session instead holds the one compaction
+// runtime (runtime.go) between iteration boundaries — the same type
+// Simulate, Checkpoint and Restore construct and finish — so a scheduler
+// can interleave "advance one iteration", "how many machine cycles has
+// this job consumed so far", "snapshot it and give the nodes to someone
+// else" and "finish it" in any order. The invariants that make
+// time-slicing exact:
 //
-//   - Step composes: the BSP partial sums (and the rebalance runtime's
-//     migration schedule) accumulate identically whether the iteration
-//     range is covered by one advance or many, so a session's final
-//     Result is reflect.DeepEqual to the uninterrupted Simulate.
+//   - Step composes: the BSP partial sums and the boundary hooks (the
+//     migration decision of a RebalancePartitioner) accumulate
+//     identically whether the iteration range is covered by one advance or
+//     many — a hook fires at a boundary only when the loop goes on to
+//     execute the iteration after it — so a session's final Result is
+//     reflect.DeepEqual to the uninterrupted Simulate.
 //   - Checkpoint at boundary b is byte-identical to the one-shot
 //     scaleout.Checkpoint(reads, tr, cfg, b) blob, whether the session
 //     was fresh or itself resumed from an earlier blob. ResumeSession
@@ -34,7 +38,6 @@ import (
 
 	"nmppak/internal/readsim"
 	"nmppak/internal/sim"
-	"nmppak/internal/topo"
 	"nmppak/internal/trace"
 )
 
@@ -43,12 +46,10 @@ import (
 // checkpoint blob); drive it with Step, snapshot it with Checkpoint, and
 // seal it with Finish. Not safe for concurrent use.
 type Session struct {
-	tr  *trace.Trace
-	cfg Config
-	net topo.Network
-	res *Result // prelude result; finalized by Finish
-
-	d    driver // the static-partitioner or the rebalancing runtime
+	// r is the compaction runtime every entry point drives, paused at
+	// r.next; it reports into the prelude Result, finalized by Finish.
+	r    *runtime
+	err  error // first Step failure, reported by Checkpoint and Finish
 	done bool
 }
 
@@ -80,11 +81,11 @@ func NewSession(reads []readsim.Read, tr *trace.Trace, cfg Config) (*Session, er
 	if err != nil {
 		return nil, err
 	}
-	d, err := newDriver(tr, net, cfg, nil)
+	r, err := newRuntime(tr, net, cfg, res, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &Session{tr: tr, cfg: cfg, net: net, res: res, d: d}, nil
+	return &Session{r: r}, nil
 }
 
 // ResumeSession reconstructs a session from a checkpoint blob taken under
@@ -92,18 +93,18 @@ func NewSession(reads []readsim.Read, tr *trace.Trace, cfg Config) (*Session, er
 // Session.Checkpoint — paused at the blob's resume iteration. The reads
 // are not needed: the blob carries the software-phase outcome.
 func ResumeSession(tr *trace.Trace, cfg Config, blob []byte) (*Session, error) {
-	res, d, net, err := resume(tr, cfg, blob, validateSession)
+	r, err := resume(tr, cfg, blob, validateSession)
 	if err != nil {
 		return nil, err
 	}
-	return &Session{tr: tr, cfg: cfg, net: net, res: res, d: d}, nil
+	return &Session{r: r}, nil
 }
 
 // Iterations returns the trace's total compaction iteration count.
-func (s *Session) Iterations() int { return s.d.base().iters }
+func (s *Session) Iterations() int { return s.r.iters }
 
 // Next returns the current boundary: the first unexecuted iteration.
-func (s *Session) Next() int { return s.d.base().next }
+func (s *Session) Next() int { return s.r.next }
 
 // Remaining returns how many iterations are still to execute.
 func (s *Session) Remaining() int { return s.Iterations() - s.Next() }
@@ -111,7 +112,7 @@ func (s *Session) Remaining() int { return s.Iterations() - s.Next() }
 // Step advances the run by up to n iterations (fewer if the trace ends
 // first) and returns how many it executed. n <= 0 is a no-op.
 func (s *Session) Step(n int) int {
-	if s.done || n <= 0 {
+	if s.done || s.err != nil || n <= 0 {
 		return 0
 	}
 	from := s.Next()
@@ -119,7 +120,9 @@ func (s *Session) Step(n int) int {
 	if to <= from {
 		return 0
 	}
-	s.d.advance(to)
+	if s.err = s.r.advance(to); s.err != nil {
+		return 0
+	}
 	return to - from
 }
 
@@ -129,7 +132,7 @@ func (s *Session) Step(n int) int {
 // already crossed. At the final boundary this equals the finished
 // Result.TotalCycles.
 func (s *Session) Progress() sim.Cycle {
-	return s.res.Count.Total() + s.res.Construct.Total() + s.d.base().now()
+	return s.r.res.Count.Total() + s.r.res.Construct.Total() + s.r.now()
 }
 
 // Checkpoint exports the session's state at the current boundary as a
@@ -140,7 +143,10 @@ func (s *Session) Checkpoint() ([]byte, error) {
 	if s.done {
 		return nil, fmt.Errorf("scaleout: Session already finished")
 	}
-	return captureBlob(s.d, s.cfg, s.net, s.tr, s.res)
+	if s.err != nil {
+		return nil, s.err
+	}
+	return s.r.checkpoint(s.r.next)
 }
 
 // Finish advances any remaining iterations, prices the closing barriers
@@ -153,6 +159,13 @@ func (s *Session) Finish() (*Result, error) {
 		return nil, fmt.Errorf("scaleout: Session already finished")
 	}
 	s.done = true
-	finalize(s.res, s.d.finish(s.res))
-	return s.res, nil
+	if s.err != nil {
+		return nil, s.err
+	}
+	co, err := s.r.finish()
+	if err != nil {
+		return nil, err
+	}
+	finalize(s.r.res, co)
+	return s.r.res, nil
 }

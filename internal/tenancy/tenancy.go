@@ -83,7 +83,8 @@ type Fleet struct {
 	// <= 0 means DefaultQuantum. FIFO and priority ignore it.
 	Quantum sim.Cycle
 	// BytesPerCycle prices preemption checkpoint/restore I/O on the fleet
-	// timeline; <= 0 means scaleout.DefaultCheckpointBytesPerCycle.
+	// timeline; <= 0 means scaleout.DefaultCheckpointBytesPerCycle, and a
+	// non-finite rate is rejected.
 	BytesPerCycle float64
 	// Telemetry, when non-nil, records the fleet timeline: one track per
 	// fleet node (tenant possession slices, colored per tenant in the
@@ -265,6 +266,9 @@ func (f Fleet) Run(jobs []Job) (*Schedule, error) {
 	}
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("tenancy: no jobs")
+	}
+	if math.IsNaN(f.BytesPerCycle) || math.IsInf(f.BytesPerCycle, 0) {
+		return nil, fmt.Errorf("tenancy: BytesPerCycle must be finite, got %g", f.BytesPerCycle)
 	}
 	r := &fleetRun{
 		f:       f,

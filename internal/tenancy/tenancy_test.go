@@ -2,6 +2,7 @@ package tenancy
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 
@@ -254,9 +255,15 @@ func TestFleetValidation(t *testing.T) {
 			t.Fatalf("%s: Run succeeded", tc.name)
 		}
 	}
-	bad := Fleet{Nodes: 0}
-	if _, err := bad.Run([]Job{w.job(t, "a", 0, 0, 1)}); err == nil {
-		t.Fatal("zero-node fleet accepted")
+	for _, bad := range []Fleet{
+		{Nodes: 0},
+		{Nodes: 2, BytesPerCycle: math.NaN()},
+		{Nodes: 2, BytesPerCycle: math.Inf(1)},
+		{Nodes: 2, BytesPerCycle: math.Inf(-1)},
+	} {
+		if _, err := bad.Run([]Job{w.job(t, "a", 0, 0, 1)}); err == nil {
+			t.Fatalf("fleet %+v accepted", bad)
+		}
 	}
 	cfg := scaleout.DefaultConfig(1)
 	cfg.Telemetry = telemetry.New()
