@@ -1,20 +1,17 @@
 // Parallel execution: run the same 64-node scale-out simulation under
 // every runtime discipline — overlapped halo exchange, BSP supersteps,
-// and elastic recovery from a mid-phase node loss — twice each: once on
-// the sequential event-driven scheduler (Workers=1) and once on the
-// conservative-PDES parallel runtime (Workers=0, one worker per
-// GOMAXPROCS thread). Each pair must be cycle-exact: identical Result
-// structs, down to every phase counter.
+// and elastic recovery from a mid-phase node loss — twice each: once with
+// the per-node engines stepped serially (Workers=1) and once on a worker
+// pool (Workers=0, one worker per GOMAXPROCS thread). Each pair must be
+// cycle-exact: identical Result structs, down to every phase counter.
 //
-// The parallel runtime pre-steps each node's engine on the worker pool
-// inside windows bounded by per-pair route latencies (the lookahead
-// matrix), so it can never need an inbound halo flight that has not been
-// computed yet. BSP runs chunk whole supersteps between barriers; the
-// elastic runtime windows each recovery segment on its degraded network,
-// treating checkpoint captures and fault boundaries as window horizons.
-// Wall-clock speedup therefore comes without any change in simulated
-// behavior; on a single-core host the runtime falls back to the
-// sequential scheduler and the two timings match.
+// Both runs pre-step every stretch between checkpoint captures (the
+// whole phase when nothing is captured) on the per-node engines, then
+// drain the macro-schedule — overlapped halo flights or BSP superstep
+// pricing — serially from the recorded durations. An engine's iteration
+// durations do not depend on when the schedule starts them, so the
+// worker count changes wall-clock only, never simulated behavior; on a
+// single-core host the pool has one worker and the two timings match.
 package main
 
 import (
@@ -67,8 +64,8 @@ func main() {
 	// cycle counts, communication fraction, link statistics, assembly
 	// outcome — must be identical. No tolerance.
 	compare := func(name string, mut func(*nmppak.ScaleOutConfig)) {
-		serial, serialWall := run(1, mut) // sequential scheduler
-		parallel, parWall := run(0, mut)  // conservative-PDES, one worker per thread
+		serial, serialWall := run(1, mut) // engines stepped serially
+		parallel, parWall := run(0, mut)  // one worker per thread
 		fmt.Printf("%-9s serial %8.1f ms | parallel %8.1f ms | speedup %5.2fx | %d model cycles\n",
 			name, serialWall.Seconds()*1e3, parWall.Seconds()*1e3,
 			serialWall.Seconds()/parWall.Seconds(), parallel.TotalCycles)
@@ -81,10 +78,10 @@ func main() {
 	fmt.Printf("simulating %d nodes, %d compaction iterations, GOMAXPROCS=%d\n\n",
 		nodes, len(tr.Iterations), runtime.GOMAXPROCS(0))
 
-	// Overlapped halo exchange: per-pair lookahead windows.
+	// Overlapped halo exchange: one pre-stepped segment, one event loop.
 	compare("overlap", nil)
 
-	// BSP supersteps: chunked compute/exchange/barrier rounds.
+	// BSP supersteps: compute/exchange/barrier rounds priced in order.
 	compare("bsp", func(cfg *nmppak.ScaleOutConfig) { cfg.Overlap = false })
 
 	// Elastic recovery: kill a node halfway through the fault-free run's

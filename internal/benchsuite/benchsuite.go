@@ -448,13 +448,12 @@ func benchScaleOut8xDragonfly(b *testing.B) { benchScaleOut8x(b, false, topo.Dra
 // GOMAXPROCS — is timed off the benchmark clock as the anchor; the timed
 // loop runs with Workers=0 (one worker per GOMAXPROCS thread) and the
 // ratio is published as speedup_vs_serial, alongside an off-clock
-// fixed-width sweep (speedup_w2, speedup_w4) showing how the window
-// protocol scales with the pool. Cycle-exactness is part of the bench
-// contract: every parallel result must be identical to the anchor or the
-// benchmark fails. The ratios are only meaningful when GOMAXPROCS is
-// backed by real cores; on a single-core host the gate
-// (par.Threads(0)==1) routes both runs through the serial scheduler and
-// they hover near 1.
+// fixed-width sweep (speedup_w2, speedup_w4) showing how the pre-steps
+// scale with the pool. Cycle-exactness is part of the bench contract:
+// every parallel result must be identical to the anchor or the benchmark
+// fails. The ratios are only meaningful when GOMAXPROCS is backed by real
+// cores; on a single-core host (par.Threads(0)==1) both runs pre-step
+// serially and they hover near 1.
 func measureParallel64(b *testing.B, cfg scaleout.Config) {
 	c, t := setup()
 	scfg := cfg
@@ -527,14 +526,14 @@ func benchScaleOut64xDragonflyParallel(b *testing.B) {
 	benchScaleOut64xParallel(b, topo.DragonflyGroups(0))
 }
 
-// benchScaleOut64xBSPParallel: the windowed chunked superstep driver on
-// the 64-node BSP machine.
+// benchScaleOut64xBSPParallel: the BSP loop — whole stretches pre-stepped
+// on the pool, supersteps priced serially — on the 64-node machine.
 func benchScaleOut64xBSPParallel(b *testing.B) {
 	measureParallel64(b, scale64Config(topo.Default(), false))
 }
 
-// benchScaleOut64xRebalanceParallel: the rebalancing runtime (migration
-// barriers bounding every window) under the parallel scheduler.
+// benchScaleOut64xRebalanceParallel: the rebalancing runtime (every
+// migration decision ends a pre-stepped stretch) on the worker pool.
 func benchScaleOut64xRebalanceParallel(b *testing.B) {
 	cfg := scale64Config(topo.Default(), false)
 	cfg.Partitioner = scaleout.NewRebalancePartitioner(12, 1)

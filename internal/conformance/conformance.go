@@ -93,14 +93,16 @@ type Case struct {
 	// At is the checkpoint iteration (the first iteration the restored run
 	// executes); negative means "the middle of the trace".
 	At int
-	// Depth is the parallel runtime's pre-step depth (Config.PrestepDepth);
-	// 0 means the default of 1.
-	Depth int
 	// Elastic turns the cell into an elastic-runtime cell: a periodic
 	// checkpoint cadence plus (on multi-node machines) a mid-phase node
 	// loss, so the parallel sweep exercises captures, fault boundaries and
-	// the recovery rollback under the window protocol.
+	// the recovery rollback with a worker pool.
 	Elastic bool
+	// Depth, when above 1, cuts the cell's run into pre-stepped stretches
+	// of Depth iterations: it is the elastic capture cadence and the
+	// rebalancing period, and a static cell's cross-mode checkpoint
+	// section also splits the run at every Depth-th boundary.
+	Depth int
 }
 
 // Name renders the cell for subtest names and error messages.
@@ -146,13 +148,12 @@ func (c Case) Config(fx *Fixture) (scaleout.Config, error) {
 	case PartBalanced:
 		cfg.Partitioner = scaleout.NewBalancedPartitioner(fx.Kmers, 12, c.Nodes)
 	case PartRebalance:
-		cfg.Partitioner = scaleout.NewRebalancePartitioner(12, 1)
+		cfg.Partitioner = scaleout.NewRebalancePartitioner(12, c.Depth)
 	default:
 		return cfg, fmt.Errorf("conformance: unknown partitioner %q", c.Part)
 	}
-	cfg.PrestepDepth = c.Depth
 	if c.Elastic {
-		cfg.CheckpointEvery = 2
+		cfg.CheckpointEvery = max(c.Depth, 2)
 	}
 	return cfg, nil
 }
@@ -249,45 +250,35 @@ func Verify(fx *Fixture, c Case) error {
 // ParallelMatrix enumerates the serial-vs-parallel equivalence sweep
 // across every discipline the parallel runtime covers:
 //
-//   - the hash columns (BSP and overlap) at every node count — depth 1 at
-//     every column, deeper pre-stepping on the small multi-node columns
-//     where the full verifier cost is affordable;
+//   - the hash columns (BSP and overlap) at every node count;
 //   - the rebalancing runtime (BSP only — migration is a global
-//     synchronization) on the small columns, across depths;
+//     synchronization) on the small multi-node columns, where the full
+//     verifier cost is affordable;
 //   - the elastic runtime (both disciplines, periodic captures plus a
-//     mid-phase node loss) on the small columns, across depths.
+//     mid-phase node loss) on the small columns.
 //
-// The hash partitioner keeps the sweep's cost on the runtime under test
-// rather than on partitioning variety — VerifyParallel holds for any.
-func ParallelMatrix(nodes, depths []int) []Case {
-	var small []int
-	for _, n := range nodes {
-		if n > 1 && n <= 8 {
-			small = append(small, n)
-		}
-	}
-	isSmall := func(n int) bool {
-		for _, s := range small {
-			if s == n {
-				return true
-			}
-		}
-		return false
-	}
+// Each small multi-node column runs twice: with the default hook cadence
+// and with stretches cut at every third iteration (Depth 3), so the pool
+// pre-steps both long and short segments. The hash partitioner keeps the
+// sweep's cost on the runtime under test rather than on partitioning
+// variety — VerifyParallel holds for any.
+func ParallelMatrix(nodes []int) []Case {
+	small := func(n int) bool { return n > 1 && n <= 8 }
 	var cases []Case
 	for _, kind := range []topo.Kind{topo.FullMesh, topo.Torus2D, topo.Dragonfly} {
 		for _, overlap := range []bool{false, true} {
 			for _, n := range nodes {
-				for _, d := range depths {
-					if d > 1 && !isSmall(n) {
-						continue
-					}
-					cases = append(cases, Case{Topo: kind, Overlap: overlap, Part: PartHash, Nodes: n, At: -1, Depth: d})
+				cases = append(cases, Case{Topo: kind, Overlap: overlap, Part: PartHash, Nodes: n, At: -1})
+				if small(n) {
+					cases = append(cases, Case{Topo: kind, Overlap: overlap, Part: PartHash, Nodes: n, At: -1, Depth: 3})
 				}
 			}
 		}
-		for _, n := range small {
-			for _, d := range depths {
+		for _, n := range nodes {
+			if !small(n) {
+				continue
+			}
+			for _, d := range []int{1, 3} {
 				cases = append(cases, Case{Topo: kind, Overlap: false, Part: PartRebalance, Nodes: n, At: -1, Depth: d})
 				for _, overlap := range []bool{false, true} {
 					cases = append(cases, Case{Topo: kind, Overlap: overlap, Part: PartHash, Nodes: n, At: -1, Depth: d, Elastic: true})
@@ -298,7 +289,7 @@ func ParallelMatrix(nodes, depths []int) []Case {
 	return cases
 }
 
-// VerifyParallel asserts that the conservative-PDES parallel runtime is
+// VerifyParallel asserts that a run pre-stepping on a worker pool is
 // indistinguishable from the serial one on a cell, beyond wall-clock:
 //
 //  1. Result equivalence: Workers=1 and Workers=workers runs produce
@@ -370,37 +361,47 @@ func VerifyParallel(fx *Fixture, c Case, workers int) error {
 		return nil
 	}
 
-	// Checkpoint identity and cross-mode restore at the cell's boundary.
+	// Checkpoint identity and cross-mode restore at the cell's boundary
+	// and, for a Depth cell, at every Depth-th boundary: each split
+	// pre-steps the run in a different pair of stretches.
 	at := c.At
 	if at < 0 {
 		at = len(fx.Trace.Iterations) / 2
 	}
+	boundaries := []int{at}
+	for b := c.Depth; c.Depth > 1 && b < len(fx.Trace.Iterations); b += c.Depth {
+		if b != at {
+			boundaries = append(boundaries, b)
+		}
+	}
 	scfg, pcfg := cfg, cfg
 	scfg.Workers, pcfg.Workers = 1, workers
-	sblob, err := scaleout.Checkpoint(fx.Reads, fx.Trace, scfg, at)
-	if err != nil {
-		return fmt.Errorf("%s: serial checkpoint: %w", name, err)
-	}
-	pblob, err := scaleout.Checkpoint(fx.Reads, fx.Trace, pcfg, at)
-	if err != nil {
-		return fmt.Errorf("%s: parallel checkpoint: %w", name, err)
-	}
-	if !bytes.Equal(sblob, pblob) {
-		return fmt.Errorf("%s: checkpoint blobs diverge across worker counts (%d vs %d bytes)", name, len(sblob), len(pblob))
-	}
-	fromParallel, err := scaleout.Restore(fx.Trace, scfg, pblob)
-	if err != nil {
-		return fmt.Errorf("%s: serial restore of parallel-captured blob: %w", name, err)
-	}
-	if !reflect.DeepEqual(fromParallel, serial) {
-		return fmt.Errorf("%s: parallel-captured blob restored serially diverges: %s", name, diffSummary(fromParallel, serial))
-	}
-	fromSerial, err := scaleout.Restore(fx.Trace, pcfg, sblob)
-	if err != nil {
-		return fmt.Errorf("%s: parallel restore of serial-captured blob: %w", name, err)
-	}
-	if !reflect.DeepEqual(fromSerial, serial) {
-		return fmt.Errorf("%s: serial-captured blob restored in parallel diverges: %s", name, diffSummary(fromSerial, serial))
+	for _, at := range boundaries {
+		sblob, err := scaleout.Checkpoint(fx.Reads, fx.Trace, scfg, at)
+		if err != nil {
+			return fmt.Errorf("%s: serial checkpoint at %d: %w", name, at, err)
+		}
+		pblob, err := scaleout.Checkpoint(fx.Reads, fx.Trace, pcfg, at)
+		if err != nil {
+			return fmt.Errorf("%s: parallel checkpoint at %d: %w", name, at, err)
+		}
+		if !bytes.Equal(sblob, pblob) {
+			return fmt.Errorf("%s: checkpoint blobs at %d diverge across worker counts (%d vs %d bytes)", name, at, len(sblob), len(pblob))
+		}
+		fromParallel, err := scaleout.Restore(fx.Trace, scfg, pblob)
+		if err != nil {
+			return fmt.Errorf("%s: serial restore of parallel-captured blob at %d: %w", name, at, err)
+		}
+		if !reflect.DeepEqual(fromParallel, serial) {
+			return fmt.Errorf("%s: parallel-captured blob at %d restored serially diverges: %s", name, at, diffSummary(fromParallel, serial))
+		}
+		fromSerial, err := scaleout.Restore(fx.Trace, pcfg, sblob)
+		if err != nil {
+			return fmt.Errorf("%s: parallel restore of serial-captured blob at %d: %w", name, at, err)
+		}
+		if !reflect.DeepEqual(fromSerial, serial) {
+			return fmt.Errorf("%s: serial-captured blob at %d restored in parallel diverges: %s", name, at, diffSummary(fromSerial, serial))
+		}
 	}
 	return nil
 }

@@ -1,8 +1,6 @@
 package conformance
 
 import (
-	"os"
-	"strconv"
 	"sync"
 	"testing"
 
@@ -87,31 +85,9 @@ func TestCheckpointIterationSweep(t *testing.T) {
 	}
 }
 
-// parallelDepths returns the pre-step depth column(s) of the parallel
-// sweep. The CI race matrix pins one depth per job via the
-// NMPPAK_PRESTEP_DEPTH environment variable; unset, both the default
-// depth and a deeper window run in-process. A malformed value fails the
-// test instead of silently falling back — a typo in the CI matrix would
-// otherwise run the wrong sweep and still report green.
-func parallelDepths(t *testing.T) []int {
-	t.Helper()
-	v := os.Getenv("NMPPAK_PRESTEP_DEPTH")
-	if v == "" {
-		return []int{1, 3}
-	}
-	d, err := strconv.Atoi(v)
-	if err != nil {
-		t.Fatalf("NMPPAK_PRESTEP_DEPTH=%q is not an integer: %v", v, err)
-	}
-	if d <= 0 {
-		t.Fatalf("NMPPAK_PRESTEP_DEPTH=%q must be a positive pre-step depth", v)
-	}
-	return []int{d}
-}
-
 // TestParallelMatrix sweeps the serial-vs-parallel equivalence matrix:
 // topology × discipline (BSP, overlap, rebalance, elastic with a
-// mid-phase node loss) × node count × pre-step depth, asserting
+// mid-phase node loss) × node count × stretch depth, asserting
 // bit-identical Results, byte-identical telemetry traces, byte-identical
 // checkpoint blobs and cross-mode (parallel-captured/serially-restored
 // and vice versa) resume equivalence for Workers ∈ {1, 4}. In -short
@@ -123,7 +99,7 @@ func TestParallelMatrix(t *testing.T) {
 	if testing.Short() {
 		nodes = []int{4}
 	}
-	for _, c := range ParallelMatrix(nodes, parallelDepths(t)) {
+	for _, c := range ParallelMatrix(nodes) {
 		c := c
 		t.Run(c.Name(), func(t *testing.T) {
 			if err := VerifyParallel(f, c, 4); err != nil {

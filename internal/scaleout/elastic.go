@@ -40,7 +40,7 @@
 // and capture hooks, not a runtime of its own. An elastic configuration
 // wraps the network in topo.Degraded, gives the core a live mask and
 // wraps the owner in the survivor failover; both loops of runtime.go then
-// call faults and capture at every boundary, a BSP chunk never crosses a
+// call faults and capture at every boundary, a BSP stretch never crosses a
 // capture boundary and an overlapped segment ends at one. A fault-free
 // configuration with CheckpointEvery == 0 leaves the recovery state zero:
 // the hooks find nothing to do and the network stays unwrapped.
@@ -157,15 +157,16 @@ func (r *runtime) pendingLoss() bool {
 }
 
 // dropPrestepped discards the un-placed telemetry of the iterations the
-// BSP loop pre-stepped from it on when the boundary before it is about
-// to recover from a node loss: the superstep-at-a-time schedule never
-// stepped them, and the recovery rolls them back.
+// BSP loop pre-stepped from it on, on every node whose engine ran past
+// it, when the boundary before it recovers from a node loss or fails: a
+// recovery rolls those iterations back and a failed run never prices
+// them, so their spans must not survive on the tracks.
 func (r *runtime) dropPrestepped(it int) {
-	if r.pr == nil || !r.pendingLoss() {
+	if r.pr == nil {
 		return
 	}
-	for i, l := range r.live {
-		if l {
+	for i, e := range r.engines {
+		if e.Next() > it {
 			r.pr.dropBuffered(i, it)
 		}
 	}

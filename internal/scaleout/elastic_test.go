@@ -41,9 +41,8 @@ func chromeBytes(t *testing.T, c *telemetry.Collector) []byte {
 // failover owner, degradable network — but changes nothing: the result
 // must be identical to the fault-free run's, field for field, and so must
 // the Chrome trace, byte for byte, in both disciplines. Explicit worker
-// counts put both the superstep-at-a-time and the pre-stepped BSP loop,
-// and both branches of the overlapped segment scheduler (lazy and
-// windowed), under test on any host.
+// counts put both the serial and the worker-pool pre-step under test on
+// any host.
 func TestElasticDormantPlanMatchesGolden(t *testing.T) {
 	reads := testReads(t, 20_000)
 	tr := testTrace(t, reads, 32, 3)

@@ -92,7 +92,7 @@ func newShardedTrace(tr *trace.Trace, n int) *ShardedTrace {
 // extend shards tr's iterations [len(st.Halo), to) under ownerOf,
 // appending each node's sub-iterations and each iteration's halo matrix
 // and accumulating the traffic counters. The runtime extends its split
-// one chunk or segment at a time, because a migrating or failing-over
+// one stretch or segment at a time, because a migrating or failing-over
 // owner changes between them; ShardTrace extends over the whole trace.
 func (st *ShardedTrace) extend(tr *trace.Trace, to int, ownerOf func(dna.Kmer) int) {
 	for it := len(st.Halo); it < to; it++ {

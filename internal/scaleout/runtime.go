@@ -14,13 +14,9 @@
 //     a log-tree barrier plus the NMP runtime's own sync barrier close the
 //     step. This reproduces the original aggregation model cycle for
 //     cycle (TestGoldenEquivalence pins it). The loop (runtime.bsp)
-//     pre-steps a chunk of iterations on the worker pool (core.prestep),
-//     then prices each superstep of the chunk in order from the recorded
-//     durations (core.superstep). Supersteps are barrier-synchronized, so
-//     every iteration boundary is a horizon and the chunk length is free:
-//     core.chunk is Config.PrestepDepth with a real worker pool on a
-//     multi-node machine and 1 otherwise, the superstep-at-a-time
-//     reference order; a chunk never crosses a hook boundary.
+//     pre-steps the whole stretch up to the next hook boundary on the
+//     worker pool (core.prestep), then prices each superstep of it in
+//     order from the recorded durations (core.superstep).
 //   - Overlapped (Config.Overlap == true): a node that finishes iteration
 //     i immediately streams its outgoing halo bytes while lagging nodes
 //     are still computing, and only the dependent work waits — node j may
@@ -31,7 +27,8 @@
 //     (topo.Flight) that price topo.Exchange. The loop
 //     (runtime.overlapped) runs one segment of this event schedule
 //     (core.overlap, runtime_parallel.go) per stretch between capture
-//     boundaries — a single segment when nothing is captured.
+//     boundaries — a single segment when nothing is captured — and
+//     pre-steps each segment whole before draining its schedule.
 //
 // In both modes each engine advances on its local back-to-back clock
 // (identical to nmp.Simulate), so per-iteration durations — and therefore
@@ -83,12 +80,6 @@ type core struct {
 	compute, exchange, barrier sim.Cycle
 	linkBarrier                sim.Cycle
 	exchangedBytes             int64
-
-	// Overlapped window-driver state: windowed reports that the window
-	// driver runs the current segment, stepped is the first iteration it
-	// has NOT yet pre-stepped.
-	windowed bool
-	stepped  int
 
 	durs []sim.Cycle // superstep scratch
 	// pr is the run's telemetry glue; nil disables every recording site.
@@ -165,16 +156,6 @@ func (c *core) isLive(i int) bool { return c.live == nil || c.live[i] }
 
 // now is the compaction-phase clock.
 func (c *core) now() sim.Cycle { return c.compute + c.exchange + c.barrier }
-
-// chunk is how many supersteps a BSP loop pre-steps at once: the
-// pre-step depth when a worker pool can spread a multi-node machine's
-// engines, otherwise 1 — superstep-at-a-time, the reference order.
-func (c *core) chunk() int {
-	if par.Threads(c.cfg.Workers) > 1 && c.n > 1 {
-		return c.cfg.depth()
-	}
-	return 1
-}
 
 // step advances node i by one iteration on its local clock, records the
 // duration and buffers the step's telemetry for later placement.
@@ -288,7 +269,7 @@ func (c *core) outcome() *compactOutcome {
 // construction, as owner: the partitioner's static owner, the migrating
 // bucket table of a RebalancePartitioner (rebalance.go) and — under an
 // elastic configuration — either one wrapped in the failover hash over
-// the survivors (elastic.go). The sharded trace grows chunk by chunk
+// the survivors (elastic.go). The sharded trace grows stretch by stretch
 // under that owner, and the two loops below call three boundary hooks,
 // each a no-op when its feature is off: fault events (faults), the
 // periodic capture (capture) and the migration decision (migrate).
@@ -377,8 +358,8 @@ func (r *runtime) finish() (*compactOutcome, error) {
 }
 
 // stop is the first hook boundary after iteration it — the next capture
-// or migration point — or the end of the phase. BSP chunks and overlapped
-// segments never cross one.
+// or migration point — or the end of the phase. BSP stretches and
+// overlapped segments never cross one.
 func (r *runtime) stop(it int) int {
 	s := r.iters
 	if r.every > 0 {
@@ -402,23 +383,27 @@ func (r *runtime) boundary(it int) error {
 
 // bsp executes iterations [next, to) as BSP supersteps. Every boundary
 // first applies the due fault events; a recovery rewinds the loop to its
-// resume point. At the start of a chunk the capture and migration hooks
-// run, then the chunk — up to min(it+chunk, stop(it), to) — is sharded
-// and pre-stepped on the worker pool, and each superstep is priced in
-// order from the recorded durations. A fault boundary inside a chunk
-// stays conservative because a recovery rolls engines, durations, traces
-// and counters back wholesale (rollback); the only chunk state with no
+// resume point. At the start of a stretch the capture and migration
+// hooks run, then the stretch — up to min(stop(it), to) — is sharded and
+// pre-stepped on the worker pool, and each superstep is priced in order
+// from the recorded durations. A fault boundary inside a stretch is
+// safe because a recovery rolls engines, durations, traces and counters
+// back wholesale (rollback); the only stretch state with no
 // superstep-at-a-time counterpart is the un-placed telemetry of the
 // iterations pre-stepped past it, dropped before the recovery records
-// its own spans.
+// its own spans (and when the boundary fails, so a failed run's trace
+// ends at the last priced superstep).
 func (r *runtime) bsp(to int) error {
 	it, end := r.next, r.next // iterations [it, end) are pre-stepped
 	for {
-		if it < end {
+		if it < end && r.pendingLoss() {
 			r.dropPrestepped(it)
 		}
 		resume, err := r.faults(it)
 		if err != nil {
+			if it < end {
+				r.dropPrestepped(it)
+			}
 			return err
 		}
 		if resume >= 0 {
@@ -432,7 +417,7 @@ func (r *runtime) bsp(to int) error {
 			if err := r.boundary(it); err != nil {
 				return err
 			}
-			end = min(it+r.chunk(), r.stop(it), to)
+			end = min(r.stop(it), to)
 			r.st.extend(r.tr, end, r.owner)
 			r.prestep(it, end)
 		}

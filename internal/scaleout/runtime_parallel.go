@@ -1,104 +1,34 @@
-// The overlapped segment scheduler and its conservative-PDES window
-// driver.
+// The overlapped segment scheduler.
 //
 // core.overlap builds the overlapped discipline's event schedule for
 // iterations [s, e) over the live nodes. Its one caller is the runtime's
 // overlapped loop, once per segment between capture boundaries — the
-// whole phase when nothing is captured. It
-// interleaves two very different kinds of work on one timeline: the heavy
-// per-node engine micro-simulation (core.step — the DRAM/NMP cycle model)
-// and the light macro schedule (halo flights and dependency resolution).
-// Two branches run that schedule. The lazy branch is the reference: each
-// engine is stepped from inside the event that begins its iteration. It
-// is taken with one effective worker, a single live node, or a
-// zero-lookahead network. Otherwise the window driver runs: each node's
-// stepwise nmp.Engine plus its DRAM channels is a logical process
-// advancing on its private clock, and the macro timeline becomes a
-// window-based synchronous protocol loop —
+// whole phase when nothing is captured. A segment runs in two passes:
 //
-//  1. every live node pre-steps its next k iterations in parallel
-//     (core.prestep on the worker pool, k = Config.PrestepDepth),
+//  1. every live node pre-steps the whole segment in parallel
+//     (core.prestep on the worker pool: each node's stepwise nmp.Engine
+//     plus its DRAM channels advances on its private back-to-back clock),
 //     recording the durations and buffering the steps' telemetry;
-//  2. the scheduler derives a conservative horizon: no event that needs a
-//     still-unknown duration can occur before it (see horizon, whose
-//     delivery terms come from the per-pair lookahead matrix —
-//     topo.Network.PairMinLatency — so each node's bound uses only its
-//     actual halo senders' route distances);
-//  3. the event loop advances up to that horizon (sim.Engine.RunUntil),
-//     then the next round begins.
+//  2. the macro schedule — halo flights through the contended topology
+//     and dependency resolution — drains serially on one event loop
+//     (sim.Engine.Run), placing each pre-stepped iteration where the
+//     schedule starts it.
 //
-// Because engine iteration durations are schedule-independent (each
-// engine advances on its local back-to-back clock, identical to
-// nmp.Simulate — the same invariant the checkpoint replay relies on),
-// pre-stepping cannot change any duration, to any depth; and because both
-// branches create the exact same event closures in the exact same order,
-// every event sequence number, Result field, telemetry span and
-// checkpoint blob is byte-identical between them. The conformance suite
-// pins this across the topology x discipline x node-count x depth matrix.
+// No lookahead is needed between the two: engine iteration durations are
+// schedule-independent (identical to nmp.Simulate — the same invariant
+// the checkpoint replay relies on), so the schedule only ever reads
+// durations that are already known. The event loop creates the same
+// closures in the same order at any worker count, so every event
+// sequence number, Result field, telemetry span and checkpoint blob is
+// byte-identical across worker counts; the conformance suite pins this
+// across the topology x discipline x node-count matrix.
 package scaleout
 
 import (
-	"math"
-
-	"nmppak/internal/par"
 	"nmppak/internal/sim"
 	"nmppak/internal/telemetry"
 	"nmppak/internal/topo"
 )
-
-// pairLookahead precomputes the window driver's lookahead matrix:
-// look[src][dst] is a conservative lower bound on src -> dst delivery
-// (topo.Network.PairMinLatency). On distance-varying topologies distant
-// sender pairs get strictly wider bounds than the global MinLatency,
-// which widens the windows correspondingly. A Degraded network
-// recomputes detour-forced pairs from its actual routes, so the matrix
-// is built per segment, after the degradation events it must observe.
-func pairLookahead(net topo.Network, n int) [][]sim.Cycle {
-	look := make([][]sim.Cycle, n)
-	for src := 0; src < n; src++ {
-		look[src] = make([]sim.Cycle, n)
-		for dst := 0; dst < n; dst++ {
-			if dst != src {
-				look[src][dst] = net.PairMinLatency(src, dst)
-			}
-		}
-	}
-	return look
-}
-
-// horizon returns the conservative bound after pre-stepping through the
-// iteration whose halo matrix is halo: no event that needs the next
-// iteration's (unknown) duration can occur strictly before it. Live node
-// i's next iteration begins at the later of
-//
-//   - its own chain bound lb[i] (previous end + sync barrier), and
-//   - for every live halo sender src, that sender's finish bound le[src]
-//     plus the pair's minimum send-to-delivery latency look[src][i]
-//     (contention and degradation only delay further) — the lookahead
-//     term that lets a node with pending inbound halo run ahead of a slow
-//     sender by that pair's wire distance.
-//
-// The global horizon is the minimum over live nodes (live nil: all).
-func horizon(halo [][]int64, live []bool, look [][]sim.Cycle, lb, le []sim.Cycle) sim.Cycle {
-	h := sim.Cycle(math.MaxInt64)
-	for i := range lb {
-		if live != nil && !live[i] {
-			continue
-		}
-		bound := lb[i]
-		for src := range lb {
-			if src != i && (live == nil || live[src]) && halo[src][i] > 0 {
-				if d := le[src] + look[src][i]; d > bound {
-					bound = d
-				}
-			}
-		}
-		if bound < h {
-			h = bound
-		}
-	}
-	return h
-}
 
 // ovNode is one node's overlapped scheduling state within a segment
 // (link occupancy lives in the shared topo.Flight).
@@ -127,8 +57,10 @@ type segOutcome struct {
 // iteration s+j's matrix) while laggards compute, and each node's next
 // iteration waits only on its own finish (plus sync barrier) and on the
 // delivery of the halo traffic it depends on. at is the segment start on
-// the phase clock (telemetry offset). Iterations below replay already
-// have recorded durations — a restored run — and are replayed instead of
+// the phase clock (telemetry offset). The iterations from replay on are
+// pre-stepped on the worker pool before the first event is seeded, so
+// the event loop only places them. Iterations below replay already have
+// recorded durations — a restored run — and are replayed instead of
 // re-stepped: the schedule is a deterministic function of (durations,
 // halo, topology), so the replay reproduces the uninterrupted timeline
 // exactly while skipping the engine micro-simulation.
@@ -145,11 +77,9 @@ func (c *core) overlap(s, e int, halo [][][]int64, at sim.Cycle, replay int) *se
 		g.SetProbe(&pr.loop)
 	}
 	nodes := make([]*ovNode, n)
-	liveN := 0
 	for i := range nodes {
 		if c.isLive(i) {
 			nodes[i] = &ovNode{pendingIn: make([]int, m), finished: make([]bool, m), started: make([]bool, m)}
-			liveN++
 		}
 	}
 	for j := 0; j < m; j++ {
@@ -256,22 +186,10 @@ func (c *core) overlap(s, e int, halo [][][]int64, at sim.Cycle, replay int) *se
 				}
 			}
 			d := c.durations[i][it]
-			if it < replay {
-				if pr != nil {
+			if pr != nil {
+				if it < replay {
 					pr.placeReplayed(i, it, off+at, d)
-				}
-			} else {
-				if it >= c.stepped {
-					if c.windowed {
-						// The lookahead bound admitted an event it must
-						// exclude — a conservative-PDES protocol
-						// violation, never a recoverable condition.
-						panic("scaleout: overlapped window driver reached an un-stepped iteration")
-					}
-					c.step(i)
-					d = c.durations[i][it]
-				}
-				if pr != nil {
+				} else {
 					pr.place(i, it, off+at)
 				}
 			}
@@ -279,46 +197,11 @@ func (c *core) overlap(s, e int, halo [][][]int64, at sim.Cycle, replay int) *se
 			g.After(d, func() { finish(i, j) })
 		})
 	}
+	c.prestep(max(s, replay), e)
 	for i := 0; i < n; i++ {
 		if nodes[i] != nil {
 			nodes[i].started[0] = true
 			begin(i, 0, 0)
-		}
-	}
-
-	c.stepped = replay
-	c.windowed = par.Threads(c.cfg.Workers) > 1 && liveN > 1 && c.net.MinLatency() > 0
-	if c.windowed {
-		look := pairLookahead(c.net, n)
-		k := c.cfg.depth()
-		// Chain lower bounds per live node on the segment clock: every
-		// iteration begins no earlier than its predecessor's begin plus
-		// that predecessor's duration plus the sync barrier (delivery
-		// waits only push it later). lb[i] bounds node i's next
-		// un-stepped iteration's begin, le[i] its last pre-stepped
-		// iteration's end; a replayed prefix seeds them.
-		lb := make([]sim.Cycle, n)
-		le := make([]sim.Cycle, n)
-		chain := func(from, to int) {
-			for i := range nodes {
-				for it := from; nodes[i] != nil && it < to; it++ {
-					le[i] = lb[i] + c.durations[i][it]
-					lb[i] = le[i] + sb
-				}
-			}
-		}
-		chain(s, replay)
-		for r := replay; r < e; r += k {
-			hi := min(r+k, e)
-			c.prestep(r, hi)
-			c.stepped = hi
-			chain(r, hi)
-			if hi == e {
-				// Every duration is known; the closing Run drains the
-				// loop with nothing left to look ahead of.
-				break
-			}
-			g.RunUntil(horizon(halo[hi-1-s], c.live, look, lb, le))
 		}
 	}
 	g.Run()

@@ -75,14 +75,6 @@ type Config struct {
 	// Workers bounds host parallelism while running the real sharded
 	// software (not modeled time); <=0 means GOMAXPROCS.
 	Workers int
-	// PrestepDepth bounds how many iterations ahead of the conservative
-	// window the parallel runtime pre-steps each node's engine per round
-	// (depth-k pre-stepping); <= 0 means 1. Purely a host-side batching
-	// knob — pre-stepping further is always safe because engine durations
-	// are schedule-independent, so results, traces and checkpoint blobs
-	// are identical at every depth. Like Workers it is excluded from
-	// checkpoint identity.
-	PrestepDepth int
 
 	Partitioner Partitioner
 	// Topo declares the interconnect: topology family, shape and per-link
@@ -153,9 +145,6 @@ func (c Config) Validate() error {
 	if c.Workers < 0 {
 		return fmt.Errorf("scaleout: Workers must be >= 0, got %d", c.Workers)
 	}
-	if c.PrestepDepth < 0 {
-		return fmt.Errorf("scaleout: PrestepDepth must be >= 0, got %d", c.PrestepDepth)
-	}
 	if c.Partitioner == nil {
 		return fmt.Errorf("scaleout: Partitioner must be set")
 	}
@@ -185,27 +174,7 @@ func (c Config) Validate() error {
 	if err := c.Topo.Validate(c.Nodes); err != nil {
 		return err
 	}
-	if c.Overlap && c.Workers > 1 {
-		// An explicitly parallel overlapped run needs a positive
-		// lookahead window: the conservative-PDES scheduler may only
-		// advance nodes ahead of their inbound senders by the network's
-		// minimum send-to-delivery latency. Every current topology has
-		// one (a message crosses at least two serializing links), so
-		// this guards future zero-latency network models.
-		if net, err := c.Topo.Build(c.Nodes); err == nil && net.MinLatency() <= 0 {
-			return fmt.Errorf("scaleout: Workers=%d with Overlap needs a topology with positive MinLatency for conservative lookahead; %s has none", c.Workers, net.Name())
-		}
-	}
 	return c.NMP.Validate()
-}
-
-// depth is the effective pre-step depth of the parallel window protocol:
-// PrestepDepth iterations per round, minimum 1.
-func (c Config) depth() int {
-	if c.PrestepDepth < 1 {
-		return 1
-	}
-	return c.PrestepDepth
 }
 
 // elastic reports whether the configuration puts the compaction replay on

@@ -110,34 +110,6 @@ func (e *Engine) Run() Cycle {
 	return e.now
 }
 
-// RunUntil processes events strictly before horizon, advancing the clock to
-// each event's time as usual, and returns the current time afterwards. The
-// clock is NOT advanced to the horizon: events at or after it stay pending
-// with their order intact, so interleaving RunUntil windows with a final
-// Run produces exactly the same dispatch sequence as a single Run. This is
-// the bounded-run primitive for conservative-PDES windows, where horizon is
-// the caller's proven lookahead bound.
-func (e *Engine) RunUntil(horizon Cycle) Cycle {
-	for len(e.events) > 0 && e.events[0].at < horizon {
-		at, fn := e.pop()
-		e.now = at
-		if e.probe != nil {
-			e.probe.Dispatched++
-		}
-		fn()
-	}
-	return e.now
-}
-
-// NextAt returns the time of the earliest pending event. ok is false when
-// the heap is empty.
-func (e *Engine) NextAt() (at Cycle, ok bool) {
-	if len(e.events) == 0 {
-		return 0, false
-	}
-	return e.events[0].at, true
-}
-
 // siftUp restores the heap property after appending at index i.
 func (e *Engine) siftUp(i int) {
 	ev := e.events[i]

@@ -192,103 +192,6 @@ func TestEngineAllocs(t *testing.T) {
 	}
 }
 
-// TestRunUntilWindowsMatchRun verifies that slicing a schedule into
-// RunUntil windows dispatches the same events, in the same order, at the
-// same clock readings as one uninterrupted Run — the property the parallel
-// runtime's window loop depends on.
-func TestRunUntilWindowsMatchRun(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		want := runScenario(&Engine{}, seed)
-
-		// Same scenario, but drained through advancing horizons.
-		var e Engine
-		rng := rand.New(rand.NewSource(seed))
-		var log []([2]int64)
-		id := int64(0)
-		var spawn func(depth int) func()
-		spawn = func(depth int) func() {
-			me := id
-			id++
-			return func() {
-				log = append(log, [2]int64{me, e.Now()})
-				if depth >= 6 {
-					return
-				}
-				kids := rng.Intn(3)
-				for c := 0; c < kids; c++ {
-					off := Cycle(rng.Intn(9)) - 2
-					e.At(e.Now()+off, spawn(depth+1))
-				}
-			}
-		}
-		for i := 0; i < 24; i++ {
-			e.At(Cycle(rng.Intn(11)), spawn(0))
-		}
-		for h := Cycle(1); e.Pending() > 0 && h < 64; h++ {
-			e.RunUntil(h)
-			if at, ok := e.NextAt(); ok && at < h {
-				t.Fatalf("seed %d: event at %d left pending below horizon %d", seed, at, h)
-			}
-		}
-		e.Run() // drain any stragglers past the last horizon
-		if len(log) != len(want) {
-			t.Fatalf("seed %d: windows fired %d events, Run fired %d", seed, len(log), len(want))
-		}
-		for i := range log {
-			if log[i] != want[i] {
-				t.Fatalf("seed %d: event %d = %v, Run %v", seed, i, log[i], want[i])
-			}
-		}
-	}
-}
-
-// TestRunUntilHorizonExclusive pins the boundary semantics: an event exactly
-// at the horizon must NOT run, and the clock must not advance past the last
-// dispatched event.
-func TestRunUntilHorizonExclusive(t *testing.T) {
-	var e Engine
-	var fired []Cycle
-	e.At(3, func() { fired = append(fired, 3) })
-	e.At(5, func() { fired = append(fired, 5) })
-	e.At(9, func() { fired = append(fired, 9) })
-	if now := e.RunUntil(5); now != 3 {
-		t.Fatalf("now after RunUntil(5) = %d, want 3", now)
-	}
-	if len(fired) != 1 || fired[0] != 3 {
-		t.Fatalf("fired = %v, want [3]", fired)
-	}
-	if at, ok := e.NextAt(); !ok || at != 5 {
-		t.Fatalf("NextAt = %d,%v, want 5,true", at, ok)
-	}
-	e.RunUntil(10)
-	if len(fired) != 3 {
-		t.Fatalf("fired = %v, want all three", fired)
-	}
-	if _, ok := e.NextAt(); ok {
-		t.Fatal("NextAt ok on empty heap")
-	}
-}
-
-// TestRunUntilAllocs pins zero steady-state allocations for the bounded-run
-// primitive, mirroring TestEngineAllocs for Run: once the heap has grown,
-// windowed draining must not allocate either.
-func TestRunUntilAllocs(t *testing.T) {
-	var e Engine
-	fn := func() {}
-	round := func() {
-		for i := 0; i < 512; i++ {
-			e.At(e.Now()+Cycle(i*13%97), fn)
-		}
-		for h := e.Now() + 1; e.Pending() > 0; h += 16 {
-			e.RunUntil(h)
-		}
-	}
-	round() // grow the heap once
-	if a := testing.AllocsPerRun(50, round); a != 0 {
-		t.Errorf("allocs per windowed 512-event round = %v, want 0", a)
-	}
-}
-
 // TestReserveAllocs verifies Reserve makes even the first round
 // allocation-free beyond the single pre-grow.
 func TestReserveAllocs(t *testing.T) {

@@ -241,8 +241,9 @@ type fleetRun struct {
 	nodeTracks []*telemetry.Track // one per fleet node
 }
 
-// price converts blob bytes to a stall, ceiling division like the elastic
-// runtime's checkpoint charge.
+// price converts blob bytes to a stall by ceiling division, so any
+// non-empty blob costs at least one cycle. The elastic runtime's capture
+// and restore charges truncate instead.
 func (r *fleetRun) price(bytes int) sim.Cycle {
 	if bytes <= 0 {
 		return 0
@@ -358,6 +359,9 @@ func (r *fleetRun) admitSpec(j *Job, id int) (*Tenant, error) {
 		return nil, fmt.Errorf("tenancy: job %s arrives at negative cycle %d", t.Name, t.Arrival)
 	}
 	cfg := j.Config
+	if cfg.Telemetry != nil {
+		return nil, fmt.Errorf("tenancy: job %s carries per-run telemetry; the fleet owns the timeline", t.Name)
+	}
 	if j.Seed == nil {
 		if j.Reads == nil {
 			return nil, fmt.Errorf("tenancy: job %s needs Reads or a Seed blob", t.Name)
@@ -388,9 +392,6 @@ func (r *fleetRun) admitSpec(j *Job, id int) (*Tenant, error) {
 		t.Dedicated, t.service, t.result = true, res.TotalCycles, res
 		t.blob = nil
 		return t, nil
-	}
-	if cfg.Telemetry != nil {
-		return nil, fmt.Errorf("tenancy: job %s carries per-run telemetry; the fleet owns the timeline", t.Name)
 	}
 	return t, nil
 }

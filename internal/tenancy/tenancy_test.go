@@ -265,9 +265,22 @@ func TestFleetValidation(t *testing.T) {
 			t.Fatalf("fleet %+v accepted", bad)
 		}
 	}
-	cfg := scaleout.DefaultConfig(1)
-	cfg.Telemetry = telemetry.New()
-	if _, err := f.Run([]Job{{Name: "x", Trace: w.tr, Config: cfg, Reads: w.reads}}); err == nil {
-		t.Fatal("per-job telemetry accepted")
+	// Per-job telemetry is refused whatever the job's class: a dedicated
+	// (overlapped or elastic) job would otherwise write its own timeline.
+	for _, tc := range []struct {
+		name    string
+		overlap bool
+		every   int
+	}{
+		{"bsp", false, 0},
+		{"overlap", true, 0},
+		{"checkpoint-every-2", false, 2},
+	} {
+		cfg := scaleout.DefaultConfig(1)
+		cfg.Overlap, cfg.CheckpointEvery = tc.overlap, tc.every
+		cfg.Telemetry = telemetry.New()
+		if _, err := f.Run([]Job{{Name: "x", Trace: w.tr, Config: cfg, Reads: w.reads}}); err == nil {
+			t.Fatalf("%s: per-job telemetry accepted", tc.name)
+		}
 	}
 }

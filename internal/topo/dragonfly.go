@@ -76,36 +76,3 @@ func (d *dragonfly) BarrierCycles() sim.Cycle {
 	}
 	return d.treeBarrier(1)
 }
-
-// MinLatency: with multi-node groups the shortest route is intra-group —
-// a dedicated wire, [egress, ingress] like the full mesh. Single-node
-// groups only route inter-group, and the shortest such route (src is the
-// gateway, dst the landing node) is [egress, global, ingress].
-func (d *dragonfly) MinLatency() sim.Cycle {
-	if d.g > 1 {
-		return d.lat + 2
-	}
-	return 2*d.lat + 3
-}
-
-// PairMinLatency: intra-group pairs ride a dedicated two-link wire;
-// inter-group routes cross egress + global + ingress plus a local
-// forwarding hop on each side whose endpoint is not the gateway or the
-// landing node, mirroring AppendRoute's link count exactly.
-func (d *dragonfly) PairMinLatency(src, dst int) sim.Cycle {
-	if src == dst {
-		return 0
-	}
-	ga, gb := src/d.g, dst/d.g
-	if ga == gb {
-		return routeBound(2, d.lat)
-	}
-	links := 3
-	if src != ga*d.g+gb%d.g { // src is not the gateway hosting ga -> gb
-		links++
-	}
-	if dst != gb*d.g+ga%d.g { // dst is not the landing node in gb
-		links++
-	}
-	return routeBound(links, d.lat)
-}

@@ -22,17 +22,3 @@ func (m *fullMesh) AppendRoute(path []int, src, dst int) []int {
 // BarrierCycles keeps the pre-refactor formula: ceil(log2 n) message hops
 // each way, one wire crossing per hop.
 func (m *fullMesh) BarrierCycles() sim.Cycle { return m.treeBarrier(1) }
-
-// MinLatency: every route is exactly [egress, ingress] — two links held
-// for at least one cycle each with one latency transition between them.
-func (m *fullMesh) MinLatency() sim.Cycle { return m.lat + 2 }
-
-// PairMinLatency: every routed pair crosses the same two links, so the
-// per-pair bound coincides with the global one (and is tight — an
-// uncontended minimal message delivers at exactly lat + 2).
-func (m *fullMesh) PairMinLatency(src, dst int) sim.Cycle {
-	if src == dst {
-		return 0
-	}
-	return routeBound(2, m.lat)
-}

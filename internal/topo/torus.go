@@ -64,33 +64,3 @@ func (t *torus2D) AppendRoute(path []int, src, dst int) []int {
 func (t *torus2D) BarrierCycles() sim.Cycle {
 	return t.treeBarrier(t.x/2 + t.y/2 + 1)
 }
-
-// MinLatency: the shortest route is to a grid neighbor — egress, one
-// channel, ingress: three links, two latency transitions.
-func (t *torus2D) MinLatency() sim.Cycle { return 2*t.lat + 3 }
-
-// hops is the wraparound Manhattan distance between src and dst — the
-// number of grid channels a dimension-order route crosses.
-func (t *torus2D) hops(src, dst int) int {
-	sx, sy := src%t.x, src/t.x
-	dx, dy := dst%t.x, dst/t.x
-	hx := (dx - sx + t.x) % t.x
-	if t.x-hx < hx {
-		hx = t.x - hx
-	}
-	hy := (dy - sy + t.y) % t.y
-	if t.y-hy < hy {
-		hy = t.y - hy
-	}
-	return hx + hy
-}
-
-// PairMinLatency: a dimension-order route is egress + one channel per
-// wraparound-Manhattan hop + ingress, so distant pairs get a strictly
-// wider bound than the neighbor-distance MinLatency.
-func (t *torus2D) PairMinLatency(src, dst int) sim.Cycle {
-	if src == dst {
-		return 0
-	}
-	return routeBound(t.hops(src, dst)+2, t.lat)
-}
