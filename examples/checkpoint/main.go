@@ -37,9 +37,10 @@ func main() {
 	}
 
 	// An 8-node torus running the measurement-driven rebalancing
-	// partitioner — the runtime with the most mid-run state (migrated
-	// ownership table, measured busy times) and therefore the most
-	// interesting thing to checkpoint.
+	// partitioner — the runtime with the most derived mid-run state
+	// (migrated ownership table, measured busy times). None of it is in
+	// the blob: the restore replays the recorded prefix and derives it
+	// again, which makes it the most interesting thing to checkpoint.
 	cfg := nmppak.DefaultScaleOutConfig(8)
 	cfg.Topo = nmppak.TorusTopo(0, 0)
 	cfg.Partitioner = nmppak.NewRebalancePartitioner(12, 1)

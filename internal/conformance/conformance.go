@@ -158,16 +158,12 @@ func (c Case) Config(fx *Fixture) (scaleout.Config, error) {
 	return cfg, nil
 }
 
-// Valid reports whether the cell is a legal configuration; the illegal
-// regions of the matrix are overlap × rebalance (migration is a global
-// synchronization, so the rebalancer requires BSP) and elastic ×
-// rebalance (recovery re-partitioning owns the table) — Validate rejects
-// both, which the sweep asserts separately.
+// Valid reports whether the cell is a legal configuration; the one
+// illegal region of the matrix is elastic × rebalance (a recovery
+// rollback does not rewind the bucket table) — Validate rejects it,
+// which the sweep asserts separately.
 func (c Case) Valid() bool {
-	if c.Part == PartRebalance && (c.Overlap || c.Elastic) {
-		return false
-	}
-	return true
+	return c.Part != PartRebalance || !c.Elastic
 }
 
 // Matrix enumerates the full sweep: every topology, both disciplines, all
@@ -251,9 +247,8 @@ func Verify(fx *Fixture, c Case) error {
 // across every discipline the parallel runtime covers:
 //
 //   - the hash columns (BSP and overlap) at every node count;
-//   - the rebalancing runtime (BSP only — migration is a global
-//     synchronization) on the small multi-node columns, where the full
-//     verifier cost is affordable;
+//   - the rebalancing runtime (both disciplines) on the small multi-node
+//     columns, where the full verifier cost is affordable;
 //   - the elastic runtime (both disciplines, periodic captures plus a
 //     mid-phase node loss) on the small columns.
 //
@@ -279,8 +274,8 @@ func ParallelMatrix(nodes []int) []Case {
 				continue
 			}
 			for _, d := range []int{1, 3} {
-				cases = append(cases, Case{Topo: kind, Overlap: false, Part: PartRebalance, Nodes: n, At: -1, Depth: d})
 				for _, overlap := range []bool{false, true} {
+					cases = append(cases, Case{Topo: kind, Overlap: overlap, Part: PartRebalance, Nodes: n, At: -1, Depth: d})
 					cases = append(cases, Case{Topo: kind, Overlap: overlap, Part: PartHash, Nodes: n, At: -1, Depth: d, Elastic: true})
 				}
 			}

@@ -26,9 +26,8 @@ func fixture(t *testing.T) *Fixture {
 
 // TestMatrix sweeps topology × discipline × partitioner × node count with
 // a mid-trace checkpoint, asserting resume equivalence, blob determinism
-// and round-trip stability for every cell (and that the one illegal cell
-// family, overlap × rebalance, is rejected by validation). In -short mode
-// only the 4-node column runs.
+// and round-trip stability for every cell, overlap × rebalance included.
+// In -short mode only the 4-node column runs.
 func TestMatrix(t *testing.T) {
 	f := fixture(t)
 	nodes := []int{1, 4, 8}
@@ -48,8 +47,8 @@ func TestMatrix(t *testing.T) {
 // TestCheckpointIterationSweep pins resume equivalence at every legal
 // checkpoint boundary — including 0 (before any compaction iteration) and
 // the trace end (after the last one) — on one representative cell per
-// discipline, plus the rebalancing runtime whose state machine is the
-// richest.
+// discipline, plus the rebalancing runtime under both disciplines, whose
+// restore replays the richest derived state (the migrations).
 func TestCheckpointIterationSweep(t *testing.T) {
 	f := fixture(t)
 	iters := len(f.Trace.Iterations)
@@ -60,6 +59,7 @@ func TestCheckpointIterationSweep(t *testing.T) {
 		{Topo: topo.Torus2D, Overlap: false, Part: PartMinimizer, Nodes: 4},
 		{Topo: topo.FullMesh, Overlap: true, Part: PartHash, Nodes: 4},
 		{Topo: topo.Dragonfly, Overlap: false, Part: PartRebalance, Nodes: 4},
+		{Topo: topo.Torus2D, Overlap: true, Part: PartRebalance, Nodes: 4},
 	}
 	step := 1
 	if testing.Short() {
@@ -86,8 +86,8 @@ func TestCheckpointIterationSweep(t *testing.T) {
 }
 
 // TestParallelMatrix sweeps the serial-vs-parallel equivalence matrix:
-// topology × discipline (BSP, overlap, rebalance, elastic with a
-// mid-phase node loss) × node count × stretch depth, asserting
+// topology × discipline (BSP, overlap, rebalance under both, elastic with
+// a mid-phase node loss) × node count × stretch depth, asserting
 // bit-identical Results, byte-identical telemetry traces, byte-identical
 // checkpoint blobs and cross-mode (parallel-captured/serially-restored
 // and vice versa) resume equivalence for Workers ∈ {1, 4}. In -short

@@ -22,7 +22,9 @@ import (
 // -restore invocations share (a blob is only restorable under the exact
 // configuration it was taken under; the blob's digests enforce that): a
 // 4-node routed torus running the measurement-driven rebalancing
-// partitioner under BSP.
+// partitioner under BSP — the runtime with the most derived mid-run
+// state, all of which the restore replays from the recorded durations
+// rather than reading from the blob.
 func checkpointConfig(c *Context) scaleout.Config {
 	cfg := scaleout.DefaultConfig(4)
 	cfg.K = c.W.K

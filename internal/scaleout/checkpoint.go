@@ -4,9 +4,9 @@
 // finishes with results bit-identical to the uninterrupted run. There is
 // one marshaling path, runtime.checkpoint: Checkpoint and
 // Session.Checkpoint export through it, and the elastic capture hook
-// writes its in-memory ring blobs through it too (those carry the
-// membership section instead of the external pause state). Restore and
-// ResumeSession rebuild the same runtime type Simulate runs.
+// writes its in-memory blobs through it too (those add the membership
+// section). Restore and ResumeSession rebuild the same runtime type
+// Simulate runs.
 //
 // What goes in the blob is exactly the state that is not a pure function
 // of the immutable inputs (reads, trace, Config):
@@ -19,26 +19,19 @@
 //     (nmp.EngineState) — the engines are quiescent between iterations, so
 //     this snapshot is complete;
 //   - the measured per-node, per-iteration compute durations of the
-//     iterations already executed. The BSP discipline resumes from partial
-//     superstep sums; the overlapped discipline replays its global
-//     event-driven macro-schedule from cycle 0 with the recorded durations
-//     standing in for the already-executed engine steps (the schedule is a
-//     deterministic function of durations × halo traffic × topology, so
-//     the replay reproduces the uninterrupted timeline exactly while
-//     skipping the engine micro-simulation);
-//   - for a RebalancePartitioner: the migrated ownership table and the
-//     measurement state (cumulative and last-iteration busy times, bucket
-//     weights) the next migration decision reads, plus the accumulated
-//     migration/halo accounting.
+//     iterations already executed.
 //
-// The sharded sub-traces and link clocks are deliberately NOT in the blob.
-// Sharding is a pure function of (trace, owner): restore re-shards the
-// executed prefix under the ownership the run started from (for a
-// migrating table that yields the iteration-0 quantile tables, and the
-// prefix traffic comes from the rebalance section). Every topo link clock
-// is reconstructed by the deterministic schedule replay. That keeps the
-// blob small (engine timing state + durations, not the trace) and keeps
-// one source of truth.
+// Everything else is derived again at restore time, under either
+// discipline, by running the discipline's own loop over the executed
+// prefix with the recorded durations standing in for the engine steps
+// (engine durations do not depend on the schedule): the phase clock and
+// its partial sums, every topo link clock, and — for a
+// RebalancePartitioner, whose migration decisions read only durations
+// and the trace — the ownership history, the halo matrices, the
+// migrations and the traffic counters. The sharded sub-traces are not in
+// the blob either: sharding is a pure function of (trace, owner). That
+// keeps the blob small (engine timing state + durations, not the trace)
+// and keeps one source of truth.
 //
 // Restore refuses blobs it cannot honour: short or truncated blobs, an
 // unknown version tag, and any drift between the blob's recorded identity
@@ -65,8 +58,10 @@ import (
 // CheckpointVersion is the current blob format version. Restore rejects
 // any other version; bump it whenever CheckpointState (or anything it
 // embeds, such as nmp.EngineState) changes incompatibly.
-// Version 2 added the elastic membership section (ElasticState).
-const CheckpointVersion = 2
+// Version 2 added the elastic membership section (ElasticState); version
+// 3 dropped everything a restore derives by replay (the BSP partial sums,
+// the rebalance section and the elastic traffic counters).
+const CheckpointVersion = 3
 
 // Structural ceilings applied while validating a decoded blob, before any
 // of its counts size an allocation or a loop: far above any simulated
@@ -83,38 +78,15 @@ const checkpointMagic = "NMPPAK-CKPT\n"
 
 // ErrElasticConfig is wrapped by Checkpoint and Restore when the
 // configuration is elastic (CheckpointEvery / Faults): elastic runs
-// manage their own in-memory recovery ring and are not externally
+// manage their own in-memory recovery checkpoint and are not externally
 // pause-and-resumable. Schedulers detect non-preemptible jobs with
 // errors.Is(err, ErrElasticConfig) — the tenancy layer queues such
 // fault-plan tenants on dedicated nodes instead of time-slicing them.
 var ErrElasticConfig = errors.New("elastic config (CheckpointEvery/Faults) manages its own recovery checkpoints")
 
-// RebalanceState is a RebalancePartitioner run's extra checkpoint state:
-// the migrated bucket table and the measurements feeding the next
-// migration decision.
-type RebalanceState struct {
-	// Table is the super-bucket ownership table after the migrations
-	// performed so far.
-	Table []uint16
-	// Cum and LastDur are the measured cumulative and last-iteration busy
-	// times per node; Weight is the last iteration's per-bucket traced
-	// MacroNode bytes.
-	Cum     []sim.Cycle
-	LastDur []sim.Cycle
-	Weight  []int64
-	// Accumulated traffic and migration accounting over the executed
-	// iterations.
-	LocalTNs      int64
-	RemoteTNs     int64
-	HaloBytes     int64
-	Rebalances    int
-	MigratedBytes int64
-}
-
 // ElasticState is an elastic run's extra checkpoint state: the live
-// membership the blob was captured under and the committed logical
-// traffic counters a recovery rolls back to. Present exactly on the
-// in-memory ring blobs the capture hook writes (Config.CheckpointEvery /
+// membership the blob was captured under. Present exactly on the
+// in-memory blobs the capture hook writes (Config.CheckpointEvery /
 // Config.Faults); the external Checkpoint/Restore surface never carries
 // it.
 type ElasticState struct {
@@ -122,10 +94,6 @@ type ElasticState struct {
 	// dead node's engine is frozen at its own last committed iteration
 	// (Engines[i].Next <= ResumeIter).
 	Live []bool
-	// Committed halo accounting up to ResumeIter.
-	LocalTNs  int64
-	RemoteTNs int64
-	HaloBytes int64
 }
 
 // CheckpointState is the decoded form of a checkpoint blob: everything a
@@ -159,19 +127,8 @@ type CheckpointState struct {
 	Durations  [][]sim.Cycle
 	Engines    []nmp.EngineState
 
-	// BSP partial sums over the executed iterations (ignored by the
-	// overlapped discipline, which replays its schedule from the recorded
-	// durations instead).
-	Compute               sim.Cycle
-	Exchange              sim.Cycle
-	CompactExchangedBytes int64
-
-	// Rebalance is present exactly when the run uses a
-	// RebalancePartitioner.
-	Rebalance *RebalanceState
-
-	// Elastic is present exactly on an elastic run's internal ring blobs
-	// (see ElasticState).
+	// Elastic is present exactly on an elastic run's internal recovery
+	// blobs (see ElasticState).
 	Elastic *ElasticState
 }
 
@@ -196,11 +153,12 @@ func Checkpoint(reads []readsim.Read, tr *trace.Trace, cfg Config, beforeIter in
 	if beforeIter < 0 || beforeIter > iters {
 		return nil, fmt.Errorf("scaleout: checkpoint iteration %d outside [0, %d]", beforeIter, iters)
 	}
-	// A capture can be instrumented too: the BSP disciplines record the
+	// A capture can be instrumented too: the BSP discipline records the
 	// executed iteration range plus a checkpoint marker at the pause point
-	// (the overlapped capture has no global schedule of its own — its
-	// restore replays the whole macro-schedule — so it records only the
-	// software phases and the marker).
+	// (the overlapped capture steps its engines through the BSP loop but
+	// has no global schedule of its own — its restore replays the whole
+	// macro-schedule — so it records only the software phases and the
+	// marker, at the start of the compaction phase).
 	var pr *probes
 	if cfg.Telemetry != nil {
 		pr = newProbes(cfg.Telemetry, net, cfg)
@@ -216,7 +174,7 @@ func Checkpoint(reads []readsim.Read, tr *trace.Trace, cfg Config, beforeIter in
 	if !cfg.Overlap {
 		r.setProbes(pr)
 	}
-	if err := r.advance(beforeIter); err != nil {
+	if err := r.bsp(beforeIter); err != nil {
 		return nil, err
 	}
 	blob, err := r.checkpoint(beforeIter)
@@ -224,7 +182,10 @@ func Checkpoint(reads []readsim.Read, tr *trace.Trace, cfg Config, beforeIter in
 		return nil, err
 	}
 	if pr != nil {
-		at := pr.base + r.now()
+		at := pr.base
+		if !cfg.Overlap {
+			at += r.now()
+		}
 		pr.phases.Add(telemetry.SpanCheckpoint, at, at, int64(beforeIter), 0)
 		pr.seal()
 	}
@@ -233,12 +194,10 @@ func Checkpoint(reads []readsim.Read, tr *trace.Trace, cfg Config, beforeIter in
 
 // checkpoint marshals the run's state at boundary it as a versioned blob:
 // the identity and prelude sections, the executed durations and engine
-// snapshots, and either the external pause state — BSP partial sums and,
-// for a migrating table, the rebalance section — or, on an elastic run's
-// ring, the membership and committed traffic (ElasticState). Checkpoint,
-// Session.Checkpoint and the elastic capture all marshal through it, so
-// an incrementally advanced session snapshots byte-identically to a
-// one-shot capture at the same boundary.
+// snapshots, and — on an elastic run's recovery blobs — the membership
+// (ElasticState). Checkpoint, Session.Checkpoint and the elastic capture
+// all marshal through it, so an incrementally advanced session snapshots
+// byte-identically to a one-shot capture at the same boundary.
 func (r *runtime) checkpoint(it int) ([]byte, error) {
 	if !r.digested {
 		r.cfgDigest, r.trDigest = configDigest(r.cfg, r.net.Name()), traceDigest(r.tr)
@@ -262,28 +221,7 @@ func (r *runtime) checkpoint(it int) ([]byte, error) {
 		Engines:               make([]nmp.EngineState, r.n),
 	}
 	if r.live != nil {
-		ck.Elastic = &ElasticState{
-			Live:      append([]bool(nil), r.live...),
-			LocalTNs:  r.st.LocalTNs,
-			RemoteTNs: r.st.RemoteTNs,
-			HaloBytes: r.st.HaloBytes,
-		}
-	} else {
-		ck.Compute, ck.Exchange = r.compute, r.exchange
-		ck.CompactExchangedBytes = r.exchangedBytes
-		if rb := r.rb; rb != nil {
-			ck.Rebalance = &RebalanceState{
-				Table:         append([]uint16(nil), rb.table...),
-				Cum:           append([]sim.Cycle(nil), rb.cum...),
-				LastDur:       append([]sim.Cycle(nil), rb.lastDur...),
-				Weight:        append([]int64(nil), rb.weight...),
-				LocalTNs:      r.st.LocalTNs,
-				RemoteTNs:     r.st.RemoteTNs,
-				HaloBytes:     r.st.HaloBytes,
-				Rebalances:    r.res.Rebalances,
-				MigratedBytes: r.res.MigratedBytes,
-			}
-		}
+		ck.Elastic = &ElasticState{Live: append([]bool(nil), r.live...)}
 	}
 	for i, e := range r.engines {
 		ck.Durations[i] = append([]sim.Cycle(nil), r.durations[i][:it]...)
@@ -313,10 +251,11 @@ func Restore(tr *trace.Trace, cfg Config, blob []byte) (*Result, error) {
 		return nil, err
 	}
 	// An instrumented restore records the software phases from the blob's
-	// timing and the live compaction range: the BSP disciplines re-enter
-	// the global timeline at the checkpointed partial sums, the overlapped
-	// discipline replays its whole macro-schedule (so even the pre-pause
-	// iterations get spans, with recorded durations standing in).
+	// timing and the live compaction range: the BSP discipline replayed
+	// its prefix before the probes attach, so it re-enters the global
+	// timeline at the pause point; the overlapped discipline replays its
+	// whole macro-schedule here (so even the pre-pause iterations get
+	// spans, with recorded durations standing in).
 	var pr *probes
 	if cfg.Telemetry != nil {
 		pr = newProbes(cfg.Telemetry, r.net, cfg)
@@ -456,21 +395,6 @@ func (ck *CheckpointState) validate() error {
 				i, ck.Engines[i].Next, ck.ResumeIter)
 		}
 	}
-	if rs := ck.Rebalance; rs != nil {
-		if len(rs.Table) != BalancedBuckets || len(rs.Weight) != BalancedBuckets {
-			return fmt.Errorf("scaleout: checkpoint rebalance tables sized %d/%d, want %d",
-				len(rs.Table), len(rs.Weight), BalancedBuckets)
-		}
-		if len(rs.Cum) != ck.Nodes || len(rs.LastDur) != ck.Nodes {
-			return fmt.Errorf("scaleout: checkpoint rebalance measurements sized %d/%d for %d nodes",
-				len(rs.Cum), len(rs.LastDur), ck.Nodes)
-		}
-		for b, o := range rs.Table {
-			if int(o) >= ck.Nodes {
-				return fmt.Errorf("scaleout: checkpoint rebalance bucket %d owned by node %d of %d", b, o, ck.Nodes)
-			}
-		}
-	}
 	return nil
 }
 
@@ -490,9 +414,6 @@ func (ck *CheckpointState) matches(tr *trace.Trace, cfg Config, net topo.Network
 	}
 	if name := net.Name(); name != ck.Topology {
 		return fmt.Errorf("scaleout: checkpoint taken on topology %q, config builds %q", ck.Topology, name)
-	}
-	if _, isRb := cfg.Partitioner.(*RebalancePartitioner); isRb != (ck.Rebalance != nil) {
-		return fmt.Errorf("scaleout: checkpoint rebalance state presence (%v) does not match the partitioner", ck.Rebalance != nil)
 	}
 	if ck.Elastic != nil {
 		return fmt.Errorf("scaleout: blob carries elastic membership state (an internal recovery checkpoint); only the elastic runtime's ring restores it")

@@ -11,15 +11,16 @@
 //   - Every Config.CheckpointEvery iterations the runtime captures the
 //     full checkpoint blob (the same versioned bytes Checkpoint emits,
 //     decoded by the same hardened UnmarshalCheckpoint on the way back)
-//     into a small in-memory ring, charging len(blob)/CheckpointBytesPerCycle
-//     as a global stall — the coordinated-checkpoint cost.
+//     into memory, replacing the previous capture, and charges
+//     len(blob)/CheckpointBytesPerCycle as a global stall — the
+//     coordinated-checkpoint cost.
 //   - fault.Plan events are applied at iteration boundaries, the first
 //     point a lockstep run can act on them. Link events mutate the
 //     Degraded interconnect in place (every later exchange sees the lost
 //     bandwidth or the detour). A node loss is detected at the next
 //     boundary: the plan's DetectCycles stall, then every node —
 //     survivors live, casualties frozen — is restored from the newest
-//     ring blob, the work since that checkpoint is discarded, and the
+//     blob, the work since that checkpoint is discarded, and the
 //     dead node's shard fails over to the survivors
 //     (key-hash-partitioned across the live set). The MacroNodes that
 //     changed owners are charged over the degraded network before the
@@ -61,24 +62,19 @@ import (
 // 25.6 GB/s at the modeled 1.6 GHz — a striped local NVMe target.
 const DefaultCheckpointBytesPerCycle = 16
 
-// elasticRingCap bounds the in-memory checkpoint ring. Recovery restores
-// from the newest entry; the older ones are the safety margin against a
-// blob that fails to decode.
-const elasticRingCap = 4
-
-// ringEntry is one captured checkpoint: the iteration it resumes at and
-// the marshaled blob (real bytes — restore decodes them through
-// UnmarshalCheckpoint, so the ring exercises the same hardened path an
-// on-disk blob does).
-type ringEntry struct {
+// savedCheckpoint is the newest captured checkpoint: the iteration it
+// resumes at and the marshaled blob (real bytes — restore decodes them
+// through UnmarshalCheckpoint, so recovery exercises the same hardened
+// path an on-disk blob does).
+type savedCheckpoint struct {
 	iter int
 	blob []byte
 }
 
 // recovery is the runtime's elastic state — the membership and its
-// failover, the degradable network, the fault plan and the checkpoint
-// ring. It stays zero unless cfg.elastic(), and while it is zero every
-// hook below is a no-op: no events to apply, nothing to capture. The
+// failover, the degradable network, the fault plan and the newest
+// checkpoint. It stays zero unless cfg.elastic(), and while it is zero
+// every hook below is a no-op: no events to apply, nothing to capture. The
 // protocol stalls — checkpoint captures, detection and restore — are
 // charged to the barrier bucket, re-partition migrations to exchange;
 // the recovery bookkeeping accumulates on the run's Result.
@@ -91,9 +87,9 @@ type recovery struct {
 	nextEvent int           // first pending event
 	detect    sim.Cycle     // failure-detection latency per recovery
 
-	home func(dna.Kmer) int // owner before failover
-	surv []int              // live node indices, ascending (failover hash targets)
-	ring []ringEntry
+	home  func(dna.Kmer) int // owner before failover
+	surv  []int              // live node indices, ascending (failover hash targets)
+	saved savedCheckpoint    // blob nil until the first capture
 }
 
 // startRecovery puts the run on the elastic protocol: a degradable
@@ -195,22 +191,18 @@ func (r *runtime) lossIn(seg *segOutcome) (bj int, fc sim.Cycle) {
 }
 
 // capture is the checkpoint hook at the boundary before iteration it:
-// every CheckpointEvery iterations it pushes a blob into the ring and
+// every CheckpointEvery iterations it replaces the newest checkpoint and
 // charges the capture stall (never re-capturing a boundary a recovery
-// already pushed a baseline at).
+// already took a baseline at).
 func (r *runtime) capture(it int) error {
-	if r.every <= 0 || it == 0 || it%r.every != 0 || (len(r.ring) > 0 && r.ring[len(r.ring)-1].iter >= it) {
+	if r.every <= 0 || it == 0 || it%r.every != 0 || (r.saved.blob != nil && r.saved.iter >= it) {
 		return nil
 	}
 	blob, err := r.checkpoint(it)
 	if err != nil {
 		return err
 	}
-	if len(r.ring) == elasticRingCap {
-		copy(r.ring, r.ring[1:])
-		r.ring = r.ring[:elasticRingCap-1]
-	}
-	r.ring = append(r.ring, ringEntry{iter: it, blob: blob})
+	r.saved = savedCheckpoint{iter: it, blob: blob}
 	d := sim.Cycle(float64(len(blob)) / r.ckBPC)
 	r.res.Checkpoints++
 	r.res.CheckpointBytes += int64(len(blob))
@@ -260,7 +252,7 @@ func (r *runtime) faults(it int) (int, error) {
 }
 
 // recover handles one or more node losses surfacing at the boundary
-// before iteration bIter: detection stall, restore from the newest ring
+// before iteration bIter: detection stall, restore from the newest
 // checkpoint (or a from-scratch restart when none exists), rollback of
 // everything since, re-partition migration of the shards that changed
 // owners, and a fresh baseline checkpoint at the resume point. Returns
@@ -293,13 +285,12 @@ func (r *runtime) recover(losses []fault.Event, bIter int) (int, error) {
 	r.res.RecoveryCycles += r.detect
 	r.stall(telemetry.SpanDetect, bIter, r.detect, int64(losses[0].Node), &r.barrier)
 
-	// Restore from the newest ring checkpoint; with an empty ring the
-	// survivors restart the compaction phase from scratch (the
-	// no-checkpointing degenerate cadence).
+	// Restore from the newest checkpoint; without one the survivors
+	// restart the compaction phase from scratch (the no-checkpointing
+	// degenerate cadence).
 	var ck *CheckpointState
 	resume := 0
-	if len(r.ring) > 0 {
-		ent := &r.ring[len(r.ring)-1]
+	if ent := &r.saved; ent.blob != nil {
 		dec, err := UnmarshalCheckpoint(ent.blob)
 		if err != nil {
 			return 0, fmt.Errorf("scaleout: recovery checkpoint (iteration %d): %w", ent.iter, err)
@@ -345,14 +336,14 @@ func (r *runtime) recover(losses []fault.Event, bIter int) (int, error) {
 		}
 	}
 
-	// The old ring describes the dead membership; replace it with a free
-	// baseline at the resume point (the state is already in memory), so a
-	// later loss restores here instead of replaying from scratch.
+	// The old checkpoint describes the dead membership; replace it with a
+	// free baseline at the resume point (the state is already in memory),
+	// so a later loss restores here instead of replaying from scratch.
 	blob, err := r.checkpoint(resume)
 	if err != nil {
 		return 0, err
 	}
-	r.ring = append(r.ring[:0], ringEntry{iter: resume, blob: blob})
+	r.saved = savedCheckpoint{iter: resume, blob: blob}
 	r.res.Recoveries++
 	return resume, nil
 }
@@ -361,15 +352,10 @@ func (r *runtime) recover(losses []fault.Event, bIter int) (int, error) {
 // resume: survivors continue from there, casualties stay frozen at their
 // own last committed iteration. The discarded durations, sharded
 // iterations and logical traffic counters are rewound; the phase clock is
-// not (lost time is the recovery overhead).
+// not (lost time is the recovery overhead). The sharded prefix is never
+// rewound past a checkpoint after its capture, so truncate(resume) keeps
+// exactly the iterations whose traffic that checkpoint's run had counted.
 func (r *runtime) rollback(ck *CheckpointState, resume int) error {
 	r.st.truncate(resume)
-	if err := r.loadEngines(r.st.Traces, ck); err != nil {
-		return err
-	}
-	r.st.LocalTNs, r.st.RemoteTNs, r.st.HaloBytes = 0, 0, 0
-	if ck != nil {
-		r.st.LocalTNs, r.st.RemoteTNs, r.st.HaloBytes = ck.Elastic.LocalTNs, ck.Elastic.RemoteTNs, ck.Elastic.HaloBytes
-	}
-	return nil
+	return r.loadEngines(r.st.Traces, ck)
 }

@@ -10,7 +10,11 @@
 // drains the graph). Migration is not free: every MacroNode whose bucket
 // moves is charged over the interconnect at its traced size before the
 // next iteration begins. In the runtime (runtime.go) the bucket table is
-// the run's owner, and migrate and measure are its migration hook.
+// the run's owner, and migrate and measure are its migration hook, under
+// either discipline: a migration point ends a BSP stretch and an
+// overlapped segment alike. The decisions read only measured durations
+// and the trace, so a restore derives the whole ownership history again
+// by replaying the recorded prefix; no table travels in a checkpoint.
 package scaleout
 
 import (
@@ -179,9 +183,10 @@ func (p *RebalancePartitioner) migrate(table []uint16, cum, dur []sim.Cycle, wei
 
 // rebalancer is the migrating-ownership state of a run under a
 // RebalancePartitioner: the bucket table the runtime's owner reads, and
-// the measurements the next migration decision reads. Everything in it
-// is checkpointed (RebalanceState), so a restored run migrates exactly as
-// the uninterrupted one.
+// the measurements the next migration decision reads. None of it is
+// checkpointed: a restore rebuilds it by replaying the recorded prefix
+// (newRuntime), so a restored run migrates exactly as the uninterrupted
+// one.
 type rebalancer struct {
 	p  *RebalancePartitioner
 	k1 int
@@ -230,19 +235,12 @@ func (rb *rebalancer) owner(key dna.Kmer) int {
 	return int(rb.table[rb.p.bucket(key, rb.k1)])
 }
 
-// restore loads the migrated table and the measurements from a blob.
-func (rb *rebalancer) restore(rs *RebalanceState) {
-	copy(rb.table, rs.Table)
-	copy(rb.cum, rs.Cum)
-	copy(rb.lastDur, rs.LastDur)
-	copy(rb.weight, rs.Weight)
-}
-
 // migrate is the migration hook at the boundary before iteration it:
 // every Every iterations on a multi-node machine it re-fits ownership to
 // the measured busy times and, when buckets move, prices the transfer
 // over the network (straggler -> new owner). The decision is itself a
-// global synchronization, so the BSP barrier it needs is already there.
+// global synchronization, so it runs where the barrier pair already
+// closes a BSP superstep or an overlapped segment.
 //
 // Every live MacroNode appears in its iteration's trace (P1 visits the
 // full live population each iteration), so pricing the move off
@@ -281,7 +279,7 @@ func (r *runtime) migrate(it int) {
 	}
 }
 
-// measure records superstep it's measured busy times and per-bucket
+// measure records iteration it's measured busy times and per-bucket
 // bytes for the next migration decision.
 func (r *runtime) measure(it int) {
 	rb := r.rb

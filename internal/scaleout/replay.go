@@ -22,6 +22,10 @@ type ShardedTrace struct {
 	LocalTNs  int64 // TransferNodes whose source and destination share a node
 	RemoteTNs int64 // TransferNodes crossing the interconnect
 	HaloBytes int64
+
+	// before[it] holds the three counters before iteration it was
+	// sharded, so truncate can rewind them.
+	before [][3]int64
 }
 
 // shardIteration splits one global iteration across n nodes under ownerOf
@@ -98,6 +102,7 @@ func (st *ShardedTrace) extend(tr *trace.Trace, to int, ownerOf func(dna.Kmer) i
 	for it := len(st.Halo); it < to; it++ {
 		halo := mat(st.Nodes)
 		subs, l, r, hb := shardIteration(&tr.Iterations[it], st.Nodes, ownerOf, halo)
+		st.before = append(st.before, [3]int64{st.LocalTNs, st.RemoteTNs, st.HaloBytes})
 		st.LocalTNs += l
 		st.RemoteTNs += r
 		st.HaloBytes += hb
@@ -111,9 +116,13 @@ func (st *ShardedTrace) extend(tr *trace.Trace, to int, ownerOf func(dna.Kmer) i
 	}
 }
 
-// truncate drops every sharded iteration from it on (the traffic counters
-// are the caller's to restore).
+// truncate drops every sharded iteration from it on and rewinds the
+// traffic counters to what iterations [0, it) accumulated.
 func (st *ShardedTrace) truncate(it int) {
+	if it < len(st.before) {
+		st.LocalTNs, st.RemoteTNs, st.HaloBytes = st.before[it][0], st.before[it][1], st.before[it][2]
+		st.before = st.before[:it]
+	}
 	st.Halo = st.Halo[:it]
 	for _, t := range st.Traces {
 		t.Iterations = t.Iterations[:it]

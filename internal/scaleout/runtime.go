@@ -26,16 +26,20 @@
 //     messages route hop-by-hop through the same contended topology links
 //     (topo.Flight) that price topo.Exchange. The loop
 //     (runtime.overlapped) runs one segment of this event schedule
-//     (core.overlap, runtime_parallel.go) per stretch between capture
-//     boundaries — a single segment when nothing is captured — and
-//     pre-steps each segment whole before draining its schedule.
+//     (core.overlap, runtime_parallel.go) per stretch between hook
+//     boundaries — a single segment when nothing is captured or migrated
+//     — and pre-steps each segment whole before draining its schedule.
 //
 // In both modes each engine advances on its local back-to-back clock
 // (identical to nmp.Simulate), so per-iteration durations — and therefore
-// every per-node Result — are identical across modes and across worker
-// counts; the modes differ only in how those durations and the halo
-// traffic compose on the global timeline. That makes the BSP/overlap
-// comparison exact: same compute, different schedule.
+// every per-node Result and every migration decision, which reads only
+// durations — are identical across modes and across worker counts; the
+// modes differ only in how those durations and the halo traffic compose
+// on the global timeline. That makes the BSP/overlap comparison exact:
+// same compute, different schedule. It also makes a paused run's engines
+// and recorded durations its whole non-derivable state: a restore runs
+// the discipline's own loop over the recorded prefix without re-stepping
+// the engines (newRuntime) and so derives everything else again.
 package scaleout
 
 import (
@@ -101,7 +105,7 @@ func newCore(cfg Config, net topo.Network, iters int) core {
 
 // loadEngines (re)builds every node's engine over its trace: fresh at
 // iteration 0 when ck is nil, otherwise restored from the blob's engine
-// snapshot together with the recorded durations and resume point.
+// snapshot together with the recorded durations.
 func (c *core) loadEngines(traces []*trace.Trace, ck *CheckpointState) error {
 	for i := range c.engines {
 		var e *nmp.Engine
@@ -118,27 +122,10 @@ func (c *core) loadEngines(traces []*trace.Trace, ck *CheckpointState) error {
 		}
 		c.engines[i] = e
 	}
-	c.next = 0
-	if ck != nil {
-		c.next = ck.ResumeIter
-	}
 	if c.pr != nil {
 		c.pr.attach(c.engines)
 	}
 	return nil
-}
-
-// resumeBSP re-enters a BSP phase at a blob's boundary: the recorded
-// compute/exchange partial sums plus the closing barriers of the
-// supersteps already executed (which depend only on their count).
-func (c *core) resumeBSP(ck *CheckpointState) {
-	c.compute, c.exchange = ck.Compute, ck.Exchange
-	c.exchangedBytes = ck.CompactExchangedBytes
-	if crossed := min(ck.ResumeIter, c.iters-1); crossed > 0 {
-		lb := c.net.BarrierCycles()
-		c.linkBarrier = sim.Cycle(crossed) * lb
-		c.barrier = sim.Cycle(crossed) * (lb + c.cfg.NMP.SyncBarrierCycles)
-	}
 }
 
 // setProbes attaches (or, with nil, skips) the run's telemetry glue.
@@ -172,13 +159,15 @@ func (c *core) step(i int) {
 	}
 }
 
-// prestep runs every live engine through iterations [from, to) on the
-// worker pool. Each worker owns node i exclusively, so the engine, its
-// duration row, its DRAM tracks and its step buffer stay single-writer.
-func (c *core) prestep(from, to int) {
+// prestep runs every live engine from its cursor up to iteration to on
+// the worker pool; an engine already past to — a restored one whose
+// recorded prefix the loop is replaying — is not stepped. Each worker
+// owns node i exclusively, so the engine, its duration row, its DRAM
+// tracks and its step buffer stay single-writer.
+func (c *core) prestep(to int) {
 	par.ForIdx(c.n, c.cfg.Workers, func(i int) {
 		if c.isLive(i) {
-			for it := from; it < to; it++ {
+			for c.engines[i].Next() < to {
 				c.step(i)
 			}
 		}
@@ -292,12 +281,15 @@ type runtime struct {
 
 // newRuntime builds the compaction driver at iteration 0 or — with a
 // non-nil ck — at an external blob's pause point, reporting into the
-// prelude Result res. A restore re-shards the executed prefix under the
-// ownership the run started from: sharding is a pure function of the key
-// for a static partitioner, and for a migrating one the prefix yields the
-// iteration-0 quantile tables the engines' DIMM mapping reads (the
-// prefix's sub-iterations are never read again — a resumed engine never
-// looks behind its cursor — and its traffic comes from the blob).
+// prelude Result res. A restore loads the engines over the executed
+// prefix sharded under the ownership the run started from, then rebuilds
+// every derived quantity by running the discipline's own loop over that
+// prefix with the recorded durations standing in for the engine steps:
+// the BSP loop replays it here, before any probes are attached; the
+// overlapped loop replays it in finish, from iteration 0. Under a
+// migrating table the replay re-shards the prefix, so the migrations,
+// the halo matrices and the traffic counters are derived again rather
+// than loaded.
 func newRuntime(tr *trace.Trace, net topo.Network, cfg Config, res *Result, ck *CheckpointState) (*runtime, error) {
 	r := &runtime{core: newCore(cfg, net, len(tr.Iterations)), tr: tr, res: res, st: newShardedTrace(tr, cfg.Nodes)}
 	k1, n, p := tr.K-1, cfg.Nodes, cfg.Partitioner
@@ -311,33 +303,21 @@ func newRuntime(tr *trace.Trace, net topo.Network, cfg Config, res *Result, ck *
 	}
 	if ck != nil {
 		r.st.extend(tr, ck.ResumeIter, r.owner)
-		if rs := ck.Rebalance; rs != nil {
-			r.rb.restore(rs)
-			r.st.LocalTNs, r.st.RemoteTNs, r.st.HaloBytes = rs.LocalTNs, rs.RemoteTNs, rs.HaloBytes
-			res.Rebalances, res.MigratedBytes = rs.Rebalances, rs.MigratedBytes
-		}
 	}
 	if err := r.loadEngines(r.st.Traces, ck); err != nil {
 		return nil, err
 	}
-	if ck != nil && !cfg.Overlap {
-		r.resumeBSP(ck)
+	if ck == nil {
+		return r, nil
 	}
-	return r, nil
-}
-
-// advance executes iterations [next, to), where Checkpoint and
-// Session.Step pause the run. An overlapped run only steps the engines
-// here: its restore replays the whole event schedule from the recorded
-// durations, so pricing it now would be discarded work.
-func (r *runtime) advance(to int) error {
-	if r.cfg.Overlap {
-		r.st.extend(r.tr, to, r.owner)
-		r.prestep(r.next, to)
-		r.next = to
-		return nil
+	if r.rb != nil {
+		r.st.truncate(0) // the replay re-shards it under the migrating table
 	}
-	return r.bsp(to)
+	if cfg.Overlap {
+		r.next = ck.ResumeIter
+		return r, nil
+	}
+	return r, r.bsp(ck.ResumeIter)
 }
 
 // finish executes the remaining iterations under the configured
@@ -392,7 +372,10 @@ func (r *runtime) boundary(it int) error {
 // superstep-at-a-time counterpart is the un-placed telemetry of the
 // iterations pre-stepped past it, dropped before the recovery records
 // its own spans (and when the boundary fails, so a failed run's trace
-// ends at the last priced superstep).
+// ends at the last priced superstep). It is also where every run pauses
+// — Checkpoint, under either discipline, and Session.Step advance
+// through it, so the engines are stepped under the same ownership
+// history — and a BSP restore replays its recorded prefix through it.
 func (r *runtime) bsp(to int) error {
 	it, end := r.next, r.next // iterations [it, end) are pre-stepped
 	for {
@@ -419,7 +402,7 @@ func (r *runtime) bsp(to int) error {
 			}
 			end = min(r.stop(it), to)
 			r.st.extend(r.tr, end, r.owner)
-			r.prestep(it, end)
+			r.prestep(end)
 		}
 		r.superstep(it, r.st.Halo[it])
 		r.measure(it)
@@ -433,8 +416,10 @@ func (r *runtime) bsp(to int) error {
 // one event-driven segment (core.overlap) per stretch between hook
 // boundaries, so a run without captures is a single segment. A
 // coordinated capture is a global synchronization, so the link and sync
-// barriers close each segment before the next. A restored run replays
-// the iterations it already holds durations for. A segment runs
+// barriers close each segment before the next, and each segment's
+// iterations are measured for the migration decision at its end. A
+// restored run replays the iterations it already holds durations for,
+// re-sharding them under a migrating table. A segment runs
 // speculatively: when a node loss lands inside it, its recording is
 // rewound, the window up to the detection boundary is committed as
 // compute (a discarded overlapped window does not decompose further) and
@@ -465,7 +450,7 @@ func (r *runtime) overlapped() error {
 		if r.pr != nil {
 			marks = r.pr.mark()
 		}
-		seg := r.overlap(it, end, r.st.Halo[it:end], r.now(), max(it, replay))
+		seg := r.overlap(it, end, r.st.Halo[it:end], r.now(), replay)
 		if bj, fc := r.lossIn(seg); bj >= 0 {
 			if r.pr != nil {
 				r.pr.rewind(marks)
@@ -480,7 +465,9 @@ func (r *runtime) overlapped() error {
 			continue
 		}
 		r.commit(seg, int64(it))
-		it = end
+		for ; it < end; it++ {
+			r.measure(it)
+		}
 	}
 	r.next = r.iters
 	return nil

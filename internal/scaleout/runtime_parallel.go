@@ -2,8 +2,9 @@
 //
 // core.overlap builds the overlapped discipline's event schedule for
 // iterations [s, e) over the live nodes. Its one caller is the runtime's
-// overlapped loop, once per segment between capture boundaries — the
-// whole phase when nothing is captured. A segment runs in two passes:
+// overlapped loop, once per segment between hook boundaries — the whole
+// phase when nothing is captured or migrated. A segment runs in two
+// passes:
 //
 //  1. every live node pre-steps the whole segment in parallel
 //     (core.prestep on the worker pool: each node's stepwise nmp.Engine
@@ -57,13 +58,14 @@ type segOutcome struct {
 // iteration s+j's matrix) while laggards compute, and each node's next
 // iteration waits only on its own finish (plus sync barrier) and on the
 // delivery of the halo traffic it depends on. at is the segment start on
-// the phase clock (telemetry offset). The iterations from replay on are
-// pre-stepped on the worker pool before the first event is seeded, so
-// the event loop only places them. Iterations below replay already have
-// recorded durations — a restored run — and are replayed instead of
-// re-stepped: the schedule is a deterministic function of (durations,
-// halo, topology), so the replay reproduces the uninterrupted timeline
-// exactly while skipping the engine micro-simulation.
+// the phase clock (telemetry offset). The segment is pre-stepped on the
+// worker pool before the first event is seeded, so the event loop only
+// places it. Iterations below replay already have recorded durations — a
+// restored run's prefix, whose engines core.prestep leaves alone — and
+// are replayed instead of re-stepped: the schedule is a deterministic
+// function of (durations, halo, topology), so the replay reproduces the
+// uninterrupted timeline exactly while skipping the engine
+// micro-simulation.
 func (c *core) overlap(s, e int, halo [][][]int64, at sim.Cycle, replay int) *segOutcome {
 	n, m := c.n, e-s
 	pr := c.pr
@@ -197,7 +199,7 @@ func (c *core) overlap(s, e int, halo [][][]int64, at sim.Cycle, replay int) *se
 			g.After(d, func() { finish(i, j) })
 		})
 	}
-	c.prestep(max(s, replay), e)
+	c.prestep(e)
 	for i := 0; i < n; i++ {
 		if nodes[i] != nil {
 			nodes[i].started[0] = true

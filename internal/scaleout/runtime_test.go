@@ -161,7 +161,6 @@ func TestConfigValidateErrors(t *testing.T) {
 		{"latency", func(c *Config) { c.Topo.LatencyCycles = -1 }, "latency"},
 		{"torus", func(c *Config) { c.Topo.Kind = topo.Torus2D; c.Topo.TorusX, c.Topo.TorusY = 3, 1 }, "rectangular"},
 		{"dragonfly", func(c *Config) { c.Topo.Kind = topo.Dragonfly; c.Topo.GroupSize = 3 }, "divide"},
-		{"overlap+rebalance", func(c *Config) { c.Partitioner = NewRebalancePartitioner(12, 1); c.Overlap = true }, "BSP"},
 		{"rebalance zero period", func(c *Config) { c.Partitioner = &RebalancePartitioner{M: 12} }, "Every"},
 		{"nmp", func(c *Config) { c.NMP.Channels = 0 }, "channel"},
 	} {

@@ -93,11 +93,12 @@ type Config struct {
 	NMP      nmp.Config
 	Software SoftwareModel
 	// CheckpointEvery > 0 captures a full checkpoint of the compaction
-	// replay every that many iterations into an in-memory ring, pricing
-	// each capture at blob-bytes / CheckpointBytesPerCycle. Recovery from
-	// an injected node loss restores from the newest ring entry; 0 (the
-	// default) disables periodic checkpointing — a loss then restarts the
-	// compaction phase from iteration 0 on the survivors.
+	// replay into memory every that many iterations, replacing the
+	// previous one and pricing each capture at blob-bytes /
+	// CheckpointBytesPerCycle. Recovery from an injected node loss
+	// restores from the newest capture; 0 (the default) disables periodic
+	// checkpointing — a loss then restarts the compaction phase from
+	// iteration 0 on the survivors.
 	CheckpointEvery int
 	// CheckpointBytesPerCycle prices checkpoint capture and restore I/O;
 	// <= 0 means DefaultCheckpointBytesPerCycle.
@@ -152,14 +153,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("scaleout: Partitioner must be set, got a nil %T", c.Partitioner)
 	}
 	if rp, ok := c.Partitioner.(*RebalancePartitioner); ok {
-		if c.Overlap {
-			return fmt.Errorf("scaleout: RebalancePartitioner requires the BSP discipline (the migration decision is a global synchronization); unset Overlap")
-		}
 		if rp.M < 1 || rp.Every < 1 {
 			return fmt.Errorf("scaleout: RebalancePartitioner needs M >= 1 and Every >= 1, got M=%d Every=%d (use NewRebalancePartitioner)", rp.M, rp.Every)
 		}
 		if c.elastic() {
-			return fmt.Errorf("scaleout: RebalancePartitioner cannot run under the elastic runtime (its ownership history is not checkpointable); unset CheckpointEvery and Faults")
+			return fmt.Errorf("scaleout: RebalancePartitioner cannot run under the elastic runtime (a recovery rollback does not rewind the bucket table); unset CheckpointEvery and Faults")
 		}
 	}
 	if c.CheckpointEvery < 0 {

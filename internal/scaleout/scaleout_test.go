@@ -18,7 +18,7 @@ import (
 // dnaKmer builds a valid 31-base key from an arbitrary word.
 func dnaKmer(x uint64) dna.Kmer { return dna.Kmer(x & dna.KmerMask(31)) }
 
-func testReads(t *testing.T, length int) []readsim.Read {
+func testReads(t testing.TB, length int) []readsim.Read {
 	t.Helper()
 	g, err := genome.Generate(genome.Config{Length: length, Seed: 7})
 	if err != nil {
@@ -31,7 +31,7 @@ func testReads(t *testing.T, length int) []readsim.Read {
 	return reads
 }
 
-func testTrace(t *testing.T, reads []readsim.Read, k int, minCount uint32) *trace.Trace {
+func testTrace(t testing.TB, reads []readsim.Read, k int, minCount uint32) *trace.Trace {
 	t.Helper()
 	b := trace.NewBuilder(k)
 	_, err := assemble.Run(reads, assemble.Config{

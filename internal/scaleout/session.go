@@ -19,7 +19,9 @@
 //   - Checkpoint at boundary b is byte-identical to the one-shot
 //     scaleout.Checkpoint(reads, tr, cfg, b) blob, whether the session
 //     was fresh or itself resumed from an earlier blob. ResumeSession
-//     continues from any such blob.
+//     continues from any such blob: it replays the recorded prefix's
+//     supersteps and migrations from the blob's durations, so the resumed
+//     session stands exactly where the paused one stood.
 //   - Progress is the run's cumulative machine-cycle clock at the current
 //     boundary — software prelude, compute and exchange partial sums, and
 //     the inter-superstep barriers between executed iterations — so slice
@@ -30,7 +32,7 @@
 // macro-schedule at restore time and exposes no mid-run global clock, so
 // its slices cannot be priced on a fleet timeline. Elastic configurations
 // (CheckpointEvery/Faults) are rejected with ErrElasticConfig, exactly
-// like Checkpoint — their recovery ring owns the checkpoint machinery.
+// like Checkpoint — their recovery owns the checkpoint machinery.
 package scaleout
 
 import (
@@ -120,7 +122,7 @@ func (s *Session) Step(n int) int {
 	if to <= from {
 		return 0
 	}
-	if s.err = s.r.advance(to); s.err != nil {
+	if s.err = s.r.bsp(to); s.err != nil {
 		return 0
 	}
 	return to - from

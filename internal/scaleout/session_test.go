@@ -122,45 +122,56 @@ func TestSessionSliceEquivalence(t *testing.T) {
 
 // Progress differences are the slice costs a fleet scheduler charges; the
 // sum over any slicing must land exactly on TotalCycles, and a resumed
-// session must report the same clock as the one it was carved from.
+// session must report the same clock as the one it was carved from — the
+// replayed prefix, migration stalls included.
 func TestSessionProgressComposes(t *testing.T) {
 	reads := testReads(t, 20_000)
 	tr := testTrace(t, reads, 32, 3)
-	cfg := DefaultConfig(3)
-	want, err := Simulate(reads, tr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSession(reads, tr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total sim.Cycle
-	prev := s.Progress()
-	for s.Remaining() > 0 {
-		s.Step(2) // uneven slicing on purpose
-		blob, err := s.Checkpoint()
+	for _, p := range []Partitioner{HashPartitioner{}, NewRebalancePartitioner(12, 1)} {
+		cfg := DefaultConfig(3)
+		cfg.Partitioner = p
+		want, err := Simulate(reads, tr, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err = ResumeSession(tr, cfg, blob)
+		if _, ok := p.(*RebalancePartitioner); ok && want.Rebalances == 0 {
+			t.Fatal("rebalance workload never migrated; the replayed stalls would go unchecked")
+		}
+		s, err := NewSession(reads, tr, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := s.Progress()
-		total += p - prev
-		prev = p
-	}
-	res, err := s.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res, want) {
-		t.Fatal("sliced session result differs from Simulate")
-	}
-	base := res.Count.Total() + res.Construct.Total()
-	if base+total != res.TotalCycles {
-		t.Fatalf("slice costs sum to %d + base %d, TotalCycles is %d", total, base, res.TotalCycles)
+		var total sim.Cycle
+		prev := s.Progress()
+		for s.Remaining() > 0 {
+			s.Step(2) // uneven slicing on purpose
+			paused := s.Progress()
+			blob, err := s.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err = ResumeSession(tr, cfg, blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := s.Progress()
+			if p != paused {
+				t.Fatalf("%s: resumed at boundary %d with Progress %d, paused session had %d", cfg.Partitioner.Name(), s.Next(), p, paused)
+			}
+			total += p - prev
+			prev = p
+		}
+		res, err := s.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, want) {
+			t.Fatalf("%s: sliced session result differs from Simulate", cfg.Partitioner.Name())
+		}
+		base := res.Count.Total() + res.Construct.Total()
+		if base+total != res.TotalCycles {
+			t.Fatalf("%s: slice costs sum to %d + base %d, TotalCycles is %d", cfg.Partitioner.Name(), total, base, res.TotalCycles)
+		}
 	}
 }
 

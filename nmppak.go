@@ -94,7 +94,8 @@ type (
 	// RebalancePartitioner lets the distributed runtime migrate minimizer
 	// super-buckets from measured stragglers to idle nodes between
 	// compaction iterations (measurement-driven re-partitioning; the
-	// migrated MacroNode bytes are charged to the interconnect).
+	// migrated MacroNode bytes are charged to the interconnect), under
+	// either discipline.
 	RebalancePartitioner = scaleout.RebalancePartitioner
 	// TopoConfig declares the scale-out interconnect: topology kind
 	// (full mesh, 2D torus, dragonfly), shape and per-link parameters.
@@ -187,7 +188,10 @@ type (
 var ErrElasticConfig = scaleout.ErrElasticConfig
 
 // ScaleOutCheckpointVersion is the checkpoint blob format version this
-// build reads and writes.
+// build reads and writes. Version 3 blobs carry the software-phase
+// results, the engine snapshots and the recorded per-iteration durations
+// only; a restore derives everything else by replaying the recorded
+// prefix.
 const ScaleOutCheckpointVersion = scaleout.CheckpointVersion
 
 // Interconnect topology kinds for ScaleOutConfig.Topo.Kind.
@@ -287,7 +291,8 @@ func DragonflyTopo(groupSize int) TopoConfig { return topo.DragonflyGroups(group
 // NewRebalancePartitioner returns a measurement-driven rebalancing
 // partitioner: minimizer super-buckets of m-mers, migrated between
 // straggler and idle nodes every `every` compaction iterations based on
-// the busy times the distributed runtime measures (BSP discipline).
+// the busy times the distributed runtime measures, under either the BSP
+// or the overlapped discipline.
 func NewRebalancePartitioner(m, every int) *RebalancePartitioner {
 	return scaleout.NewRebalancePartitioner(m, every)
 }
